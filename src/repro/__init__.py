@@ -69,7 +69,6 @@ from repro.cuda import (
 )
 from repro.driver import UvmDriver, UvmDriverConfig
 from repro.harness.validation import check_driver_invariants
-from repro.instrument.timeline import Timeline
 from repro.errors import (
     DataCorruptionError,
     DiscardSemanticsError,
@@ -99,7 +98,6 @@ __all__ = [
     "UvmDiscardLazy",
     "UvmDriver",
     "UvmDriverConfig",
-    "Timeline",
     "check_driver_invariants",
     "a100_40gb",
     "gtx_1070",

@@ -244,7 +244,7 @@ class ChaosWorkloadResult:
     counters: Dict[str, int] = field(default_factory=dict)
     #: EventLog entries dropped by the ring buffer during the chaos run.
     log_dropped: int = 0
-    #: Timeline digests of the two chaos runs when tracing was requested
+    #: Trace digests of the two chaos runs when tracing was requested
     #: (empty otherwise); equality is folded into ``trace_reproducible``.
     chaos_trace_digest: str = ""
     repeat_trace_digest: str = ""

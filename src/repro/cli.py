@@ -952,13 +952,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--compare",
         metavar="BASELINE",
         help="print per-benchmark wall-time deltas against a baseline "
-        "JSON (informational; never fails)",
+        "JSON; exit 1 on regression",
     )
     profile.add_argument(
         "--max-regression",
         type=float,
         default=2.0,
-        help="fail --check when wall time exceeds this factor (default 2.0)",
+        help="fail --check or --compare when wall time exceeds this "
+        "factor (default 2.0)",
     )
     profile.add_argument(
         "--cprofile",

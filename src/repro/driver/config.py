@@ -69,14 +69,6 @@ class UvmDriverConfig:
     #: matters for the backward pass's reverse-order re-reads).
     eviction_policy: str = "lru"
 
-    #: Back page tables with the NumPy bitmap-slab implementation
-    #: (:class:`repro.vm.page_table.BitmapPageTable`) instead of the
-    #: scalar set-based reference.  Both produce byte-identical costs and
-    #: counters; the bitmap is faster for bulk map/unmap and cheap to
-    #: deep-copy on snapshot fork.  Disabling selects the scalar reference
-    #: path (used by the differential property tests).
-    vectorized: bool = True
-
     #: Raise :class:`~repro.errors.DiscardSemanticsError` on UvmDiscardLazy
     #: misuse (reuse without the mandatory prefetch) instead of merely
     #: counting it and corrupting the simulated data, which is what real
@@ -96,17 +88,6 @@ class UvmDriverConfig:
     #: Base backoff between transfer retries; attempt ``n`` waits
     #: ``n * transfer_retry_backoff`` before re-issuing the command.
     transfer_retry_backoff: float = field(default=us(20.0))
-
-    # --- transfer batching ------------------------------------------------
-    #: Batch contiguous va_blocks of one migration under a single
-    #: copy-engine hold, mirroring how the real driver issues one ranged
-    #: VA-block operation instead of one command per 2 MiB block.  Wire
-    #: times are still charged per coalesced span, so simulated times,
-    #: traffic bytes and RMT counts are identical with the knob on or
-    #: off; only the host-side event count changes (O(runs-of-blocks)
-    #: instead of O(blocks)).  Off restores the legacy per-span
-    #: request/release machinery.
-    coalesce_transfers: bool = True
 
     # --- simulation reuse -------------------------------------------------
     #: Allow the sweep harness to simulate a group's shared setup prefix

@@ -41,7 +41,7 @@ from repro.interconnect.link import Link
 from repro.memsim.frames import Frame, FrameAllocator
 from repro.units import BIG_PAGE, SMALL_PAGE
 from repro.memsim.zeroing import ZeroFillModel
-from repro.vm.page_table import AnyPageTable, MappingCosts, PageTable, make_page_table
+from repro.vm.page_table import BitmapPageTable, MappingCosts
 
 
 #: Distinguishes "no entry" from a lazily-materialized (``None``) lock.
@@ -68,12 +68,11 @@ class _GpuState:
         capacity_bytes: int,
         zero_model: ZeroFillModel,
         mapping_costs: MappingCosts,
-        vectorized: bool = True,
     ) -> None:
         self.name = name
         self.allocator = FrameAllocator(name, capacity_bytes)
         self.queues = GpuPageQueues(name)
-        self.page_table = make_page_table(name, mapping_costs, vectorized=vectorized)
+        self.page_table = BitmapPageTable(name, mapping_costs)
         self.engines = CopyEngines(env)
         self.zero_model = zero_model
 
@@ -108,9 +107,7 @@ class UvmDriver:
         )
         self.oracle = oracle or DataOracle()
         self.migration = MigrationEngine(
-            env, link, self.traffic, self.rmt,
-            coalesce=self.config.coalesce_transfers,
-            counters=self.counters,
+            env, link, self.traffic, self.rmt, counters=self.counters
         )
         self.migration.max_retries = self.config.transfer_max_retries
         self.migration.retry_backoff = self.config.transfer_retry_backoff
@@ -125,7 +122,7 @@ class UvmDriver:
         #: so the disabled configuration costs one attribute load.
         self.tracer = NULL_TRACER
         # CPU PTE operations are local and cheap compared to GPU ones.
-        self.cpu_page_table = make_page_table(
+        self.cpu_page_table = BitmapPageTable(
             CPU,
             MappingCosts(
                 map_block=0.2e-6,
@@ -133,7 +130,6 @@ class UvmDriver:
                 tlb_invalidate=0.3e-6,
                 batch_overhead=0.1e-6,
             ),
-            vectorized=self.config.vectorized,
         )
         self._gpus: Dict[str, _GpuState] = {}
         self._blocks: Dict[int, VaBlock] = {}
@@ -186,13 +182,12 @@ class UvmDriver:
         A snapshot carries the *prefix* point's configuration; each fork
         re-applies its own point's knobs before the measured body runs.
         Derived objects that latch config values at construction time
-        (migration coalescing, event-log gating) are updated in place;
+        (transfer retry budget, event-log gating) are updated in place;
         accumulated instrument state is deliberately untouched — it is
         part of the simulation history being continued.
         """
         config.validate()
         self.config = config
-        self.migration.coalesce = config.coalesce_transfers
         self.migration.max_retries = config.transfer_max_retries
         self.migration.retry_backoff = config.transfer_retry_backoff
         self.log.enabled = config.event_log_enabled
@@ -218,7 +213,6 @@ class UvmDriver:
             capacity_bytes,
             zero_model or ZeroFillModel(),
             mapping_costs or MappingCosts(),
-            vectorized=self.config.vectorized,
         )
 
     def gpu_names(self) -> List[str]:
@@ -322,7 +316,7 @@ class UvmDriver:
                 )
         return out
 
-    def gpu_page_table(self, name: str) -> AnyPageTable:
+    def gpu_page_table(self, name: str) -> BitmapPageTable:
         return self._gpu(name).page_table
 
     def reserve_gpu_memory(self, name: str, nbytes: int) -> None:
@@ -971,7 +965,6 @@ class UvmDriver:
             fast_evict = (
                 self.chaos is None
                 and not tracer.enabled
-                and migration.coalesce
                 and migration.link._armed_faults == 0
             )
             # Loop-invariant attribute chains, hoisted: in the evicting
@@ -1174,78 +1167,47 @@ class UvmDriver:
                     cost += source.page_table.unmap_block(block.index)
             if cost:
                 yield self.env.timeout(cost)
-            if self.config.coalesce_transfers:
-                # Batched path: acquire every destination frame, move the
-                # whole group as coalesced spans (one ranged operation per
-                # run of contiguous blocks), then remap in one batch —
-                # how the real driver services a multi-block range.
-                source_frames = []
-                new_frames = []
-                for block in group:
-                    source_frames.append(block.frame)
-                    block.frame = None
-                for block in group:
-                    frame = yield from self._acquire_frame(g, own_indices)
-                    new_frames.append(frame)
-                if self.p2p_link is not None:
-                    yield from self.migration.transfer_blocks_peer(
-                        group, self.p2p_link, source.engines, g.engines
-                    )
-                else:
-                    yield from self.migration.transfer_blocks(
-                        group,
-                        TransferDirection.DEVICE_TO_HOST,
-                        reason,
-                        source.engines,
-                    )
-                    yield from self.migration.transfer_blocks(
-                        group,
-                        TransferDirection.HOST_TO_DEVICE,
-                        reason,
-                        g.engines,
-                    )
-                map_cost = 0.0
-                for block, source_frame, new_frame in zip(
-                    group, source_frames, new_frames
-                ):
-                    source.allocator.free(source_frame)
-                    block.frame = new_frame
-                    new_frame.prepared = True
-                    block.residency = g.name
-                    map_cost += g.page_table.map_block(block.index)
-                    self._touch_used(g, block)
-                if map_cost:
-                    yield self.env.timeout(map_cost)
-                continue
-            # Legacy path: one transfer command and remap per block.
+            # Acquire every destination frame, move the whole group as
+            # coalesced spans (one ranged operation per run of contiguous
+            # blocks), then remap in one batch — how the real driver
+            # services a multi-block range.
+            source_frames = []
+            new_frames = []
             for block in group:
-                source_frame = block.frame
+                source_frames.append(block.frame)
                 block.frame = None
-                new_frame = yield from self._acquire_frame(g, own_indices)
-                if self.p2p_link is not None:
-                    yield from self.migration.transfer_blocks_peer(
-                        [block], self.p2p_link, source.engines, g.engines
-                    )
-                else:
-                    yield from self.migration.transfer_blocks(
-                        [block],
-                        TransferDirection.DEVICE_TO_HOST,
-                        reason,
-                        source.engines,
-                    )
-                    yield from self.migration.transfer_blocks(
-                        [block],
-                        TransferDirection.HOST_TO_DEVICE,
-                        reason,
-                        g.engines,
-                    )
+            for block in group:
+                frame = yield from self._acquire_frame(g, own_indices)
+                new_frames.append(frame)
+            if self.p2p_link is not None:
+                yield from self.migration.transfer_blocks_peer(
+                    group, self.p2p_link, source.engines, g.engines
+                )
+            else:
+                yield from self.migration.transfer_blocks(
+                    group,
+                    TransferDirection.DEVICE_TO_HOST,
+                    reason,
+                    source.engines,
+                )
+                yield from self.migration.transfer_blocks(
+                    group,
+                    TransferDirection.HOST_TO_DEVICE,
+                    reason,
+                    g.engines,
+                )
+            map_cost = 0.0
+            for block, source_frame, new_frame in zip(
+                group, source_frames, new_frames
+            ):
                 source.allocator.free(source_frame)
                 block.frame = new_frame
                 new_frame.prepared = True
                 block.residency = g.name
-                map_cost = g.page_table.map_block(block.index)
-                yield self.env.timeout(map_cost)
+                map_cost += g.page_table.map_block(block.index)
                 self._touch_used(g, block)
+            if map_cost:
+                yield self.env.timeout(map_cost)
 
     # ------------------------------------------------------------------
     # fault handling

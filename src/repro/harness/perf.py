@@ -221,7 +221,7 @@ def _sweep_prefix_points() -> List["object"]:
     variants = (
         {},
         {"eviction_policy": "fifo"},
-        {"coalesce_transfers": False},
+        {"strict_lazy": True},
         {"discarded_queue_enabled": False},
     )
     return [

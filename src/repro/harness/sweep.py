@@ -185,6 +185,15 @@ class SweepPoint:
                 ChaosConfig.from_items(self.chaos)
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(f"bad chaos override: {exc}") from None
+        if self.driver:
+            # Reject an unknown knob or a bad value here, not in the
+            # worker that would otherwise fail on it.
+            from repro.driver.config import UvmDriverConfig
+
+            try:
+                UvmDriverConfig(**dict(self.driver)).validate()
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"bad driver override: {exc}") from None
         if self.is_dl:
             network = self.workload.split(":", 1)[1]
             if network not in DL_BATCH_GRID:
@@ -385,10 +394,8 @@ def _driver_config(point: SweepPoint):
         return None
     from repro.driver.config import UvmDriverConfig
 
-    try:
-        return UvmDriverConfig(**dict(point.driver))
-    except TypeError as exc:
-        raise ConfigurationError(f"bad driver override: {exc}") from None
+    # Overrides were validated when the point was built.
+    return UvmDriverConfig(**dict(point.driver))
 
 
 def _dl_trainer(point: SweepPoint, system: System):

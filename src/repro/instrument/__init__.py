@@ -23,7 +23,6 @@ from repro.instrument.metrics import (
     MetricsRegistry,
 )
 from repro.instrument.rmt import RmtClassifier, TransferFate
-from repro.instrument.timeline import Span, Timeline
 from repro.instrument.trace import (
     NULL_TRACER,
     NullTracer,
@@ -47,8 +46,6 @@ __all__ = [
     "TraceConfig",
     "Tracer",
     "TransferFate",
-    "Span",
-    "Timeline",
     "TrafficRecorder",
     "TransferReason",
     "TransferRecord",

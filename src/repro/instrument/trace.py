@@ -291,6 +291,38 @@ class Tracer:
             totals[category] = totals.get(category, 0.0) + (record[5] - record[4])
         return totals
 
+    def _intervals(self, track: str) -> List[Tuple[float, float]]:
+        """Sorted ``(start, end)`` of every span on ``track``."""
+        return sorted(
+            (record[4], record[5])
+            for record in self.events
+            if record[0] == "X" and record[1] == track
+        )
+
+    def busy_seconds(self, track: str) -> float:
+        """Total simulated seconds of spans on ``track`` (the spans of a
+        serialized track — one device queue, one link direction — never
+        overlap, so this is its occupied time)."""
+        return sum(end - start for start, end in self._intervals(track))
+
+    def overlap_seconds(self, track_a: str, track_b: str) -> float:
+        """Simulated seconds during which both tracks were busy at once —
+        e.g. the compute/copy overlap that prefetching buys."""
+        spans_a = self._intervals(track_a)
+        spans_b = self._intervals(track_b)
+        total = 0.0
+        i = j = 0
+        while i < len(spans_a) and j < len(spans_b):
+            start = max(spans_a[i][0], spans_b[j][0])
+            end = min(spans_a[i][1], spans_b[j][1])
+            if end > start:
+                total += end - start
+            if spans_a[i][1] <= spans_b[j][1]:
+                i += 1
+            else:
+                j += 1
+        return total
+
     def to_chrome_trace(self) -> Dict[str, Any]:
         """Build a Chrome-trace-event dict (Perfetto/chrome://tracing)."""
         tids: Dict[str, int] = {}

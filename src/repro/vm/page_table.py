@@ -11,10 +11,11 @@ operations precisely.
 Two interchangeable residency representations live here:
 
 - :class:`PageTable` — the original set-of-indices table; kept as the
-  scalar reference implementation (``UvmDriverConfig.vectorized=False``
-  and the differential property tests select it).
-- :class:`BitmapPageTable` — a residency slab (``bytearray`` with one
-  byte per 2 MiB block at a sliding origin; byte-per-block measured
+  scalar reference implementation that the differential property tests
+  compare against.  The driver never builds it.
+- :class:`BitmapPageTable` — the table the driver builds: a residency
+  slab (``bytearray`` with one byte per 2 MiB block at a sliding
+  origin; byte-per-block measured
   faster than bit-packing because scalar lookups need no shift/mask
   arithmetic, and a byte per block is still ~30x denser than a set
   entry) with the same scalar API plus NumPy-backed bulk
@@ -23,15 +24,13 @@ Two interchangeable residency representations live here:
   quickly.  Cost *accumulation order* in the bulk operations is the same
   sequential per-block addition as the scalar loop, so simulated times
   are bit-identical between the two implementations.
-
-:func:`make_page_table` selects one from the driver config knob.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -396,17 +395,3 @@ class BitmapPageTable:
         self.unmap_count = 0
         self.tlb_invalidations = 0
 
-
-#: Either implementation satisfies the same protocol.
-AnyPageTable = Union[PageTable, BitmapPageTable]
-
-
-def make_page_table(
-    processor: str,
-    costs: Optional[MappingCosts] = None,
-    vectorized: bool = True,
-) -> AnyPageTable:
-    """Select the page-table implementation from the driver config knob."""
-    if vectorized:
-        return BitmapPageTable(processor, costs)
-    return PageTable(processor, costs)

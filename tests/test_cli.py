@@ -305,6 +305,22 @@ class TestProfileCompare:
         ]) == 2
         assert "bad baseline" in capsys.readouterr().err
 
+    def test_compare_regression_exits_1(self, tmp_path, capsys):
+        baseline = json.loads(
+            pathlib.Path("benchmarks/perf/baseline.json").read_text()
+        )
+        baseline["benchmarks"]["engine_churn"]["wall_seconds"] = 1e-9
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps(baseline))
+        assert main([
+            "profile",
+            "--benchmarks", "engine_churn",
+            "--repeat", "1",
+            "--output", "",
+            "--compare", str(tiny),
+        ]) == 1
+        assert "PERF REGRESSION: engine_churn" in capsys.readouterr().err
+
 
 class TestChaosWorkloadListing:
     """The --workloads error is a contract: it must name every catalog

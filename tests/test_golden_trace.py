@@ -25,6 +25,7 @@ import pathlib
 
 import pytest
 
+from repro.driver import migration
 from repro.harness.sweep import SweepPoint, execute_group, execute_point
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -116,28 +117,39 @@ def test_golden_trace(name, update_golden):
     )
 
 
-@pytest.mark.parametrize("coalesce", [True, False])
+@pytest.mark.parametrize("coalesce", [True])
 @pytest.mark.parametrize("name", sorted(GOLDEN_POINTS))
-def test_golden_trace_invariant_to_coalescing(name, coalesce):
-    """Transfer coalescing is a pure wall-clock optimization.
+def test_golden_trace_invariant_to_coalescing(name, coalesce, monkeypatch):
+    """The coalesced transfer path reproduces every golden snapshot.
 
-    Every golden point must reproduce its committed snapshot bit-for-bit
-    with the fast path forced on *and* with the legacy per-span path —
-    same simulated times, same traffic, same counters.  There is no
-    --update-golden escape hatch here: if the two modes disagree, the
-    coalesced path has a semantics bug, not a stale snapshot.
+    Every transfer goes through ``coalesce_spans``: contiguous blocks of
+    a batch move as one DMA command.  Each golden point must actually
+    exercise that (some command carries more than one block) and still
+    reproduce its committed snapshot bit-for-bit.  There is no
+    --update-golden escape hatch here: a divergence is a semantics bug
+    in the coalesced path, not a stale snapshot.
     """
-    point = dataclasses.replace(
-        GOLDEN_POINTS[name], driver=(("coalesce_transfers", coalesce),)
-    )
+    spans_seen = []
+    real_coalesce_spans = migration.coalesce_spans
+
+    def counting_coalesce_spans(blocks):
+        spans = real_coalesce_spans(blocks)
+        spans_seen.extend(len(span) for span in spans)
+        return spans
+
+    monkeypatch.setattr(migration, "coalesce_spans", counting_coalesce_spans)
+    point = GOLDEN_POINTS[name]
     result = execute_point(point)
     assert result is not None, f"{point.label} unexpectedly hit OOM"
+    assert (max(spans_seen, default=0) > 1) is coalesce, (
+        f"{name}: no transfer moved more than one block per command"
+    )
     path = GOLDEN_DIR / f"{name}.json"
     assert path.exists(), f"missing golden snapshot {path}"
     golden = json.loads(path.read_text())
     drift = _diff(_flatten(golden["result"]), _flatten(result.to_dict()))
     assert not drift, (
-        f"{name}: coalesce_transfers={coalesce} diverges from the "
+        f"{name}: the coalesced transfer path diverges from the "
         "committed snapshot (golden -> actual):\n" + "\n".join(drift)
     )
 
@@ -149,9 +161,9 @@ def test_golden_trace_invariant_to_snapshot_forking(name):
     Each golden point is run as part of a prefix-sharing group (with a
     sibling under another system, so the snapshot/fork path actually
     engages) and must still reproduce its committed snapshot
-    bit-for-bit.  As with the coalescing invariance above there is no
-    --update-golden escape hatch: a divergence means the forked
-    continuation is not equivalent to a cold run.
+    bit-for-bit.  There is no --update-golden escape hatch here: a
+    divergence means the forked continuation is not equivalent to a
+    cold run.
     """
     point = GOLDEN_POINTS[name]
     sibling = dataclasses.replace(point, system="UVM-opt")

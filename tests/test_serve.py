@@ -523,6 +523,21 @@ class TestServerEndToEnd:
             assert connection_status == 400
             assert "error" in payload
 
+    def test_bad_driver_override_answers_400(self):
+        with RunningServer() as running:
+            client = ServeClient(running.url, max_retries=0)
+            for driver in (
+                {"vectorized": False},
+                {"eviction_policy": "mru"},
+            ):
+                point = dict(fir_point().to_dict(), driver=driver)
+                with pytest.raises(ServeError) as info:
+                    client._request("POST", "/run", {"point": point})
+                assert info.value.status == 400
+                assert "bad driver override" in str(info.value)
+            counters = client.metrics()["counters"]
+            assert counters.get("serve/errors", 0) == 0
+
     def test_graceful_drain_finishes_inflight_work(self):
         with RunningServer(workers=1, drain_seconds=60.0) as running:
             responses, lock = [], threading.Lock()

@@ -9,7 +9,7 @@ Four layers, mirroring ``tests/test_snapshot_fork.py``:
 - **differential identity** — a blob-forked run must be byte-identical
   (``ExperimentResult`` and :func:`~repro.chaos.trace_digest`) to a
   deepcopy-forked run and a cold run, across the fig5 networks, a
-  chaos schedule, and the vectorized-bitmap driver paths,
+  chaos schedule, and the micro workloads' bitmap page-table paths,
 - **stores** — :class:`~repro.engine.snapshot.BlobStore` honours its
   byte budget with LRU eviction, refuses oversize blobs, counts every
   published build in ``builds.log``, and keeps builds single-flight
@@ -212,16 +212,10 @@ class TestDifferentialIdentity:
         ratio=st.sampled_from((1.0, 2.0)),
     )
     def test_micro_vectorized_bitmap_driver(self, workload, system, ratio):
-        # vectorized=True is the bitmap fast path; pin it explicitly so
-        # the differential keeps covering it if the default ever flips.
+        # The micro workloads drive the bitmap page table's bulk
+        # map/unmap paths, whose slabs the blob must carry intact.
         _assert_blob_matches_deepcopy_and_cold(
-            SweepPoint(
-                workload,
-                system,
-                ratio=ratio,
-                scale=0.01,
-                driver={"vectorized": True},
-            )
+            SweepPoint(workload, system, ratio=ratio, scale=0.01)
         )
 
     def test_chaos_schedule(self):

@@ -61,7 +61,7 @@ def _corpus():
                 )
     for variant in (
         {"eviction_policy": "fifo"},
-        {"coalesce_transfers": False},
+        {"strict_lazy": True},
         {"discarded_queue_enabled": False},
     ):
         points.append(

@@ -260,12 +260,24 @@ class TestExecutePoint:
         assert execute_point(base).counters != execute_point(ablated).counters
 
     def test_bad_driver_override_rejected(self):
-        point = SweepPoint(
-            workload="fir", system="UVM-opt", ratio=2.0, scale=0.01,
-            driver={"no_such_knob": 1},
-        )
-        with pytest.raises(ConfigurationError):
-            execute_point(point)
+        # Rejected when the point is built, before any worker sees it.
+        with pytest.raises(ConfigurationError, match="bad driver override"):
+            SweepPoint(
+                workload="fir", system="UVM-opt", ratio=2.0, scale=0.01,
+                driver={"no_such_knob": 1},
+            )
+
+    @pytest.mark.parametrize(
+        "driver",
+        [{"vectorized": False}, {"eviction_policy": "mru"}],
+    )
+    def test_bad_driver_override_rejected_at_construction(self, driver):
+        with pytest.raises(ConfigurationError, match="bad driver override"):
+            SweepPoint(workload="fir", system="UVM-opt", driver=driver)
+        with pytest.raises(ConfigurationError, match="bad driver override"):
+            SweepPoint.from_dict(
+                {"workload": "fir", "system": "UVM-opt", "driver": driver}
+            )
 
 
 class TestResultSerialization:

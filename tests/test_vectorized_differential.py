@@ -7,13 +7,15 @@ byte-identical — same costs bit-for-bit, same counters, same errors
 with the same messages, same mapped sets — under any operation
 sequence, including deep-copy fork points (the snapshot machinery
 deep-copies page tables) and chaos-perturbed full-driver runs.
-Hypothesis drives the sequences; the ``vectorized`` driver knob selects
-the implementation for the whole-driver comparisons.
+Hypothesis drives the sequences.  The driver always builds the bitmap
+table; the whole-driver comparisons swap in the scalar reference by
+patching the class the driver builds (:func:`scalar_page_tables`).
 """
 
 from __future__ import annotations
 
 import copy
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from repro.engine import Environment
 from repro.instrument.traffic import TransferReason
 from repro.interconnect import pcie_gen4
 from repro.units import BIG_PAGE, MIB
-from repro.vm.page_table import MappingError, make_page_table
+from repro.vm.page_table import BitmapPageTable, MappingError, PageTable
 
 # Indices span three regions so bulk ops cross the slab's sliding
 # origin: a dense low band, a distant band (forces re-anchoring and
@@ -82,8 +84,8 @@ def _observe(table):
 def test_bitmap_page_table_matches_scalar_reference(ops):
     """Same ops -> bit-identical costs, counters, errors and mapped sets,
     including across deep-copy fork points."""
-    vec = make_page_table("gpu0", vectorized=True)
-    ref = make_page_table("gpu0", vectorized=False)
+    vec = BitmapPageTable("gpu0")
+    ref = PageTable("gpu0")
     forks = []
     for name, arg in ops:
         if name == "fork":
@@ -124,13 +126,20 @@ _driver_op = st.tuples(
 )
 
 
-def _run_driver_sequence(ops, vectorized: bool):
+def scalar_page_tables():
+    """Make every driver built in this context use the scalar reference
+    :class:`PageTable` instead of :class:`BitmapPageTable`; the context
+    value records each table built."""
+    return mock.patch(
+        "repro.driver.driver.BitmapPageTable", side_effect=PageTable
+    )
+
+
+def _run_driver_sequence(ops):
     """Apply a random fault/prefetch/discard sequence; return the full
     observable state (simulated clock, counters, traffic, residency)."""
     env = Environment()
-    driver = UvmDriver(
-        env, pcie_gen4(), UvmDriverConfig(vectorized=vectorized)
-    )
+    driver = UvmDriver(env, pcie_gen4(), UvmDriverConfig())
     driver.register_gpu("gpu0", 6 * 2 * MIB)
     blocks = [VaBlock(100 + i, BIG_PAGE) for i in range(12)]
     driver.register_blocks(blocks)
@@ -172,6 +181,7 @@ def _run_driver_sequence(ops, vectorized: bool):
     driver.finalize()
     table = driver.gpu_page_table("gpu0")
     return (
+        type(table),
         env.now,
         driver.counters.as_dict(),
         driver.traffic.total_bytes,
@@ -190,12 +200,14 @@ def _run_driver_sequence(ops, vectorized: bool):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_driver_op, min_size=1, max_size=25))
 def test_driver_runs_identically_with_either_page_table(ops):
-    """The ``vectorized`` knob changes nothing observable: simulated
-    clock (bit-for-bit floats), counters, traffic and residency all
-    match between the bitmap and scalar implementations."""
-    assert _run_driver_sequence(ops, vectorized=True) == _run_driver_sequence(
-        ops, vectorized=False
-    )
+    """The page-table implementation changes nothing observable:
+    simulated clock (bit-for-bit floats), counters, traffic and residency
+    all match between the bitmap and scalar implementations."""
+    fast = _run_driver_sequence(ops)
+    with scalar_page_tables():
+        slow = _run_driver_sequence(ops)
+    assert fast[0] is BitmapPageTable and slow[0] is PageTable
+    assert fast[1:] == slow[1:]
 
 
 @settings(max_examples=6, deadline=None)
@@ -205,25 +217,20 @@ def test_chaos_schedules_identical_across_page_table_implementations(seed):
     byte-identical with the bitmap or scalar page table."""
     from repro.harness.sweep import SweepPoint, execute_point
 
-    def result_dict(vectorized: bool):
-        point = SweepPoint(
-            workload="fir",
-            system="UvmDiscard",
-            ratio=2.0,
-            scale=0.03125,
-            driver=(("vectorized", vectorized),),
-            chaos=(
-                ("seed", seed),
-                ("transfer_fault_interval", 40),
-                ("link_degrade_interval", 60),
-            ),
-        )
-        result = execute_point(point)
-        assert result is not None
-        return result.to_dict()
-
-    fast = result_dict(True)
-    slow = result_dict(False)
-    # The driver override differs between the two runs only by the
-    # implementation knob; everything measured must match exactly.
-    assert fast == slow
+    point = SweepPoint(
+        workload="fir",
+        system="UvmDiscard",
+        ratio=2.0,
+        scale=0.03125,
+        chaos=(
+            ("seed", seed),
+            ("transfer_fault_interval", 40),
+            ("link_degrade_interval", 60),
+        ),
+    )
+    fast = execute_point(point)
+    with scalar_page_tables() as built:
+        slow = execute_point(point)
+    assert built.called
+    assert fast is not None and slow is not None
+    assert fast.to_dict() == slow.to_dict()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import InvalidAddressError, MappingError
 from repro.units import BIG_PAGE, MIB
 from repro.vm import AddressSpace, PageTable, PteState, VaRange
-from repro.vm.page_table import MappingCosts
+from repro.vm.page_table import BitmapPageTable, MappingCosts
 
 
 class TestVaRange:
@@ -119,8 +119,13 @@ class TestAddressSpace:
 
 
 class TestPageTable:
+    """Unit tests for the scalar reference; :class:`TestBitmapPageTable`
+    re-runs every one against the table the driver builds."""
+
+    table_cls = PageTable
+
     def test_map_unmap_cycle(self):
-        table = PageTable("gpu0")
+        table = self.table_cls("gpu0")
         assert table.state(5) is PteState.UNMAPPED
         cost = table.map_block(5)
         assert cost > 0
@@ -131,17 +136,17 @@ class TestPageTable:
         assert not table.is_mapped(5)
 
     def test_double_map_rejected(self):
-        table = PageTable("gpu0")
+        table = self.table_cls("gpu0")
         table.map_block(1)
         with pytest.raises(MappingError):
             table.map_block(1)
 
     def test_unmap_unmapped_rejected(self):
         with pytest.raises(MappingError):
-            PageTable("gpu0").unmap_block(1)
+            self.table_cls("gpu0").unmap_block(1)
 
     def test_counters(self):
-        table = PageTable("gpu0")
+        table = self.table_cls("gpu0")
         table.map_block(1)
         table.map_block(2)
         table.unmap_block(1)
@@ -153,7 +158,7 @@ class TestPageTable:
 
     def test_unmap_without_tlb_is_cheaper(self):
         """The batched-shootdown path eager discard uses (§5.1)."""
-        table = PageTable("gpu0")
+        table = self.table_cls("gpu0")
         table.map_block(1)
         table.map_block(2)
         with_tlb = table.unmap_block(1, invalidate_tlb=True)
@@ -165,7 +170,11 @@ class TestPageTable:
         costs = MappingCosts(
             map_block=1.0, unmap_block=2.0, tlb_invalidate=3.0, batch_overhead=0.5
         )
-        table = PageTable("gpu0", costs)
+        table = self.table_cls("gpu0", costs)
         assert table.map_block(1) == pytest.approx(1.5)
         assert table.unmap_block(1, invalidate_tlb=False) == pytest.approx(2.0)
         assert table.tlb_invalidate() == pytest.approx(3.0)
+
+
+class TestBitmapPageTable(TestPageTable):
+    table_cls = BitmapPageTable
