@@ -282,8 +282,6 @@ def cmd_sweep(args) -> int:
             jobs=args.jobs,
             cache=cache,
             progress=print,
-            snapshot_reuse=not args.no_snapshot_reuse,
-            blob_store_dir=args.blob_store,
         )
     except FastModelError as exc:
         print(f"fast model unavailable: {exc}", file=sys.stderr)
@@ -294,12 +292,6 @@ def cmd_sweep(args) -> int:
         f"\n{report.simulated} simulated, {report.cached} cached, "
         f"{report.wall_seconds:.2f} s wall"
     )
-    if report.blob_stats:
-        stats = report.blob_stats
-        print(
-            f"blob store: {stats['builds_distinct']} distinct prefixes, "
-            f"{stats['builds_total']} builds, {stats['bytes']} bytes shared"
-        )
     _report_log_dropped(
         [result for result in report.results if result is not None]
     )
@@ -897,21 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="always re-simulate"
     )
     sweep.add_argument(
-        "--no-snapshot-reuse",
-        action="store_true",
-        help="run every point cold instead of forking shared setup "
-        "prefixes from a snapshot (results are identical either way)",
-    )
-    sweep.add_argument(
         "--cache-dir",
         help=f"cache root (default .repro_cache/sweeps, or ${CACHE_ENV})",
-    )
-    sweep.add_argument(
-        "--blob-store",
-        metavar="DIR",
-        help="shared snapshot blob-store directory for multi-job sweeps "
-        "(default: $REPRO_BLOB_STORE, else a temporary directory); a "
-        "named directory persists builds.log for build-count auditing",
     )
     sweep.add_argument("--csv", help="also write raw rows to this CSV file")
     sweep.add_argument(

@@ -90,17 +90,11 @@ class UvmDriverConfig:
     transfer_retry_backoff: float = field(default=us(20.0))
 
     # --- simulation reuse -------------------------------------------------
-    #: Allow the sweep harness to simulate a group's shared setup prefix
-    #: once, snapshot at the quiescent boundary, and fork per point.  A
-    #: pure wall-clock optimization: forked runs are bit-for-bit
-    #: identical to cold runs (see docs/PERFORMANCE.md), so this is safe
-    #: to leave on even for golden-trace reproduction.
-    snapshot_reuse: bool = True
     #: Fast-forward strictly periodic workload phases (the DL training
     #: loop): once ``steady_state_verify_iterations`` consecutive
     #: iterations produce identical deltas (counters, traffic, RMT
     #: bytes), replay the delta for the remaining iterations instead of
-    #: simulating them.  Unlike ``snapshot_reuse`` this *approximates*
+    #: simulating them.  Unlike a snapshot fork this *approximates*
     #: simulated time (float addition order differs), so it is off by
     #: default and rejected in golden-trace mode (event log or retained
     #: transfer records).

@@ -459,9 +459,9 @@ class BlobClaim:
 class BlobStore:
     """A cross-process, file-backed store of snapshot blobs.
 
-    One directory per host (or per sweep) holds serialized prefix
-    snapshots, content-addressed by :func:`repro.harness.sweep.prefix_key`
-    (``sha256`` of the key's ``repr``).  Sweep pool workers and serve
+    One directory per host holds serialized prefix snapshots,
+    content-addressed by :func:`repro.harness.sweep.prefix_key`
+    (``sha256`` of the key's ``repr``).  The experiment server's
     process workers share the directory, so each popular prefix is
     *built once per host* and every other worker forks from the
     published blob instead of re-running setup.

@@ -82,8 +82,8 @@ def calibrate(
     """Run the simulator at every anchor point and record the results.
 
     ``points`` must be exact-mode points (a fast-mode point here would
-    recurse into the model being calibrated); snapshot-prefix grouping
-    and the worker pool make the batch cheap.
+    recurse into the model being calibrated); ``jobs`` spreads them
+    across a worker pool.
     """
     from repro.harness.sweep import run_sweep
 

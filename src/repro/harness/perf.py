@@ -21,7 +21,8 @@ path touches:
 - ``sweep_prefix`` — a 12-point DL grid sharing one setup prefix, run
   grouped (snapshot/fork + steady-state fast-forward) and cold; the
   gated wall time is the grouped run, with ``cold_wall_seconds`` and
-  ``speedup`` recording the win over per-point execution.
+  ``speedup`` recording the win over per-point execution, which the
+  fast-forward provides (a fork costs about as much as a prefix build).
 
 ``python -m repro profile`` runs the suite and writes
 ``BENCH_engine.json``; ``--check`` compares against a committed
@@ -163,14 +164,7 @@ def _bench_snapshot_fork() -> Dict[str, float]:
     import copy
 
     from repro.engine.snapshot import EngineSnapshot
-    from repro.harness.runner import run_uvm_prefix
-    from repro.harness.sweep import (
-        SweepPoint,
-        _driver_config,
-        _gpu_spec,
-        _link,
-        _point_plan,
-    )
+    from repro.harness.sweep import SweepPoint, _point_plan, build_prefix
 
     point = SweepPoint(
         workload="dl:vgg16",
@@ -181,10 +175,7 @@ def _bench_snapshot_fork() -> Dict[str, float]:
     )
     plan = _point_plan(point)
     start = time.perf_counter()
-    runtime = run_uvm_prefix(
-        plan.setup, _gpu_spec(point), _link(point),
-        driver_config=_driver_config(point),
-    )
+    runtime = build_prefix(point, plan)
     prefix_wall = time.perf_counter() - start
     start = time.perf_counter()
     snapshot = EngineSnapshot(runtime)

@@ -9,7 +9,9 @@ x driver config).  This module is the one engine that runs such grids:
 - :class:`SweepGrid` expands a compact grid spec into points,
 - :func:`execute_point` runs one point to an
   :class:`~repro.harness.results.ExperimentResult` (or ``None`` when the
-  configuration does not fit, e.g. No-UVM under oversubscription),
+  configuration does not fit, e.g. No-UVM under oversubscription);
+  every UVM point runs through :func:`run_split_phase`, the one
+  setup-prefix-then-measured-body pipeline that serve and trace share,
 - :class:`ResultCache` memoizes finished points on disk, keyed by a
   stable content hash of the *full* point configuration, so re-running a
   sweep only simulates points whose inputs changed,
@@ -55,17 +57,6 @@ CACHE_VERSION = 2
 
 #: Environment variable overriding the default on-disk cache location.
 CACHE_ENV = "REPRO_SWEEP_CACHE"
-
-#: Environment variable naming a shared :class:`~repro.engine.snapshot.
-#: BlobStore` directory for multi-process sweeps.  When set, the store
-#: (and its ``builds.log`` build counter) survives the sweep for
-#: inspection; otherwise a per-sweep temporary directory is used and
-#: cleaned up.
-BLOB_STORE_ENV = "REPRO_BLOB_STORE"
-
-#: Byte budget for each sweep worker's in-process snapshot pool (the
-#: zero-deserialization layer above the shared blob store).
-SWEEP_POOL_BYTES = 256 * 1024 * 1024
 
 #: The paper's per-network batch-size grids (Figures 5/6/7, §7.5).
 DL_BATCH_GRID: Dict[str, Tuple[int, ...]] = {
@@ -452,130 +443,6 @@ def _install_chaos(runtime, point: SweepPoint):
     return ChaosInjector(ChaosConfig.from_items(point.chaos)).install(runtime)
 
 
-def _execute_chaos_point(
-    point: SweepPoint, gpu, link, driver_config
-) -> Optional[ExperimentResult]:
-    """Cold run of a chaos point, always split-phase.
-
-    The injector attaches only after the (chaos-free) setup prefix —
-    exactly where :func:`execute_group` attaches it on a snapshot fork —
-    so cold and forked chaos runs see identical injection schedules.
-    """
-    from repro.harness.runner import run_uvm_body, run_uvm_prefix
-
-    plan = _point_plan(point)
-    if plan is None:  # pragma: no cover - chaos+No-UVM rejected earlier
-        raise ConfigurationError(f"{point.label}: chaos needs a UVM system")
-    try:
-        runtime = run_uvm_prefix(plan.setup, gpu, link, driver_config=driver_config)
-    except OutOfMemoryError:
-        return None
-    injector = _install_chaos(runtime, point)
-    try:
-        return run_uvm_body(
-            runtime,
-            plan.body,
-            plan.system,
-            plan.config_label,
-            plan.app_bytes,
-            plan.ratio,
-            metric=plan.metric,
-        )
-    except OutOfMemoryError:
-        return None
-    finally:
-        if injector is not None:
-            injector.uninstall()
-
-
-def execute_point(point: SweepPoint) -> Optional[ExperimentResult]:
-    """Resolve one point; ``None`` when the configuration does not fit
-    (the paper's No-UVM OOM crash under oversubscription).
-
-    ``mode="exact"`` simulates; ``mode="fast"`` answers from the
-    calibrated analytical model without simulating (raising
-    :class:`~repro.fastmodel.FastModelError` when no calibration
-    covers the point).
-    """
-    if point.mode == "fast":
-        from repro.fastmodel import predict_point
-
-        return predict_point(point)
-    system = System(point.system)
-    gpu = _gpu_spec(point)
-    link = _link(point)
-    driver_config = _driver_config(point)
-    if point.chaos:
-        return _execute_chaos_point(point, gpu, link, driver_config)
-    try:
-        if point.is_dl:
-            trainer = _dl_trainer(point, system)
-            return trainer.run(gpu, link, driver_config=driver_config)
-        workload = _micro_workload(point)
-        return workload.run(
-            system, point.ratio, gpu, link, driver_config=driver_config
-        )
-    except OutOfMemoryError:
-        return None
-
-
-# ----------------------------------------------------------------------
-# shared-prefix group execution (snapshot/fork reuse)
-# ----------------------------------------------------------------------
-
-#: Driver-config fields that influence the *setup* prefix (CPU faults
-#: during host initialization, instrumentation that records them).  Two
-#: points may share one prefix snapshot only when these agree; every
-#: other knob is setup-inert and is re-applied per fork via
-#: :meth:`~repro.driver.driver.UvmDriver.reconfigure`.
-SETUP_AFFECTING_DRIVER_KEYS = frozenset(
-    {
-        "cpu_fault_overhead",
-        "event_log_enabled",
-        "event_log_capacity",
-        "keep_transfer_records",
-    }
-)
-
-
-def prefix_key(point: SweepPoint) -> Optional[Tuple]:
-    """Grouping key for points that can share one setup-prefix snapshot,
-    or ``None`` when the point must run cold.
-
-    ``None`` cases: No-UVM (monolithic program, no split), and points
-    that opt out via a ``snapshot_reuse=False`` driver override.  The
-    key deliberately excludes ``system`` (all UVM systems share the
-    same CPU-only setup), ``ratio`` (the oversubscription occupant is
-    reserved after forking and costs no simulated time), and ``chaos``
-    (the injector installs per fork, after the shared prefix — setup is
-    always simulated fault-free).
-    """
-    if point.mode == "fast":
-        # Analytical points never simulate, so there is no prefix to
-        # share; keeping them out also steers the serve workers'
-        # snapshot pools onto the plain execute_point dispatch.
-        return None
-    if System(point.system) is System.NO_UVM:
-        return None
-    overrides = dict(point.driver)
-    if overrides.get("snapshot_reuse") is False:
-        return None
-    setup_overrides = tuple(
-        (k, v)
-        for k, v in point.driver
-        if k in SETUP_AFFECTING_DRIVER_KEYS
-    )
-    return (
-        point.workload,
-        point.link,
-        point.scale,
-        point.gpu,
-        point.batch_size,
-        point.batches,
-        setup_overrides,
-    )
-
-
 @dataclass
 class _PointPlan:
     """A point decomposed into the split-phase protocol."""
@@ -590,7 +457,8 @@ class _PointPlan:
 
 
 def _point_plan(point: SweepPoint) -> Optional[_PointPlan]:
-    """Split-phase plan for ``point``; ``None`` when unsupported."""
+    """Split-phase plan for ``point``; ``None`` for No-UVM, whose
+    program has no driver and runs whole."""
     system = System(point.system)
     if system is System.NO_UVM:
         return None
@@ -616,88 +484,211 @@ def _point_plan(point: SweepPoint) -> Optional[_PointPlan]:
     )
 
 
-def execute_group(
-    points: Sequence[SweepPoint],
-    pool=None,
-    blob_store=None,
-) -> List[Optional[ExperimentResult]]:
-    """Simulate a group of points sharing one :func:`prefix_key`.
+def build_prefix(point: SweepPoint, plan: _PointPlan):
+    """Simulate ``point``'s setup prefix; the quiescent runtime, or
+    ``None`` when the prefix does not fit."""
+    from repro.harness.runner import run_uvm_prefix
 
-    The shared setup prefix is simulated once, snapshotted at its
-    quiescent boundary, and forked per point; each fork re-applies the
-    point's full driver config and runs the measured body.  Forked runs
-    are bit-for-bit identical to cold ones (``tests/test_snapshot_fork``
-    pins that down), so this is purely a wall-clock optimization.  Any
-    failure to establish the snapshot degrades to cold per-point runs.
+    try:
+        return run_uvm_prefix(
+            plan.setup,
+            _gpu_spec(point),
+            _link(point),
+            driver_config=_driver_config(point),
+        )
+    except OutOfMemoryError:
+        return None
 
-    ``pool`` (a :class:`~repro.engine.snapshot.SnapshotPool`) and
-    ``blob_store`` (a :class:`~repro.engine.snapshot.BlobStore`) widen
-    the reuse scope: the snapshot is resolved through the pool →
-    blob-store → build hierarchy, so sweep workers on one host share
-    each prefix build instead of repeating it.  With either set, even a
-    single-point group forks from the shared snapshot (that is the
-    whole point of splitting groups across workers).
+
+class PointObserver:
+    """Something a caller attaches to a point's measured body.
+
+    :func:`run_split_phase` calls :meth:`install` after the prefix (and
+    any fork) and before chaos, :meth:`body_done` after a body that
+    finished while chaos is still installed, and :meth:`uninstall` once
+    chaos is gone, on every path.  Observers never see the setup
+    prefix, so a cold and a forked run observe the same body.
     """
-    from repro.driver.config import UvmDriverConfig
-    from repro.engine.snapshot import resolve_prefix_snapshot
-    from repro.harness.runner import run_uvm_body, run_uvm_prefix
 
-    points = list(points)
-    plans = [_point_plan(point) for point in points]
-    shared = pool is not None or blob_store is not None
-    if len(points) < (1 if shared else 2) or any(
-        plan is None for plan in plans
-    ):
-        return [execute_point(point) for point in points]
-    key = prefix_key(points[0])
-    if key is None:
-        # Ungroupable points (fast mode, No-UVM, opted out) have no
-        # prefix to share at any scope.
-        if shared:
-            return [execute_point(point) for point in points]
-        pool = blob_store = None
+    def install(self, runtime, plan: _PointPlan) -> None:
+        pass
 
-    def build():
-        try:
-            return run_uvm_prefix(
-                plans[0].setup,
-                _gpu_spec(points[0]),
-                _link(points[0]),
-                driver_config=_driver_config(points[0]),
-            )
-        except OutOfMemoryError:
-            return None
+    def body_done(self, runtime) -> None:
+        pass
 
-    snapshot, _origin = resolve_prefix_snapshot(
-        key, build, pool=pool, store=blob_store
-    )
+    def uninstall(self) -> None:
+        pass
+
+
+def run_split_phase(
+    point: SweepPoint,
+    plan: _PointPlan,
+    snapshot=None,
+    observers: Sequence[PointObserver] = (),
+) -> Tuple[Optional[ExperimentResult], Optional[object]]:
+    """Run one UVM point as setup prefix, then measured body.
+
+    The one execution path of every simulated UVM point — run, sweep,
+    serve and trace.  Without ``snapshot`` the prefix is simulated
+    here; with one, the body runs on a fork of it, reconfigured to the
+    point's full driver config.  Then ``observers`` install in order,
+    then the point's chaos injector, the body runs, and everything
+    uninstalls in reverse order.
+
+    Returns ``(result, runtime)``; ``result`` is ``None`` when the
+    point does not fit, ``runtime`` is ``None`` when the prefix itself
+    did not.
+    """
+    from repro.harness.runner import run_uvm_body
+
     if snapshot is None:
-        return [execute_point(point) for point in points]
-    results: List[Optional[ExperimentResult]] = []
-    for point, plan in zip(points, plans):
-        forked = snapshot.fork()
-        forked.driver.reconfigure(_driver_config(point) or UvmDriverConfig())
-        # Chaos installs per fork, after the shared chaos-free prefix, so
-        # chaos points group with fault-free points (see prefix_key).
-        injector = _install_chaos(forked, point)
+        runtime = build_prefix(point, plan)
+        if runtime is None:
+            return None, None
+    else:
+        from repro.driver.config import UvmDriverConfig
+
+        runtime = snapshot.fork()
+        runtime.driver.reconfigure(_driver_config(point) or UvmDriverConfig())
+    installed: List[PointObserver] = []
+    try:
+        for observer in observers:
+            observer.install(runtime, plan)
+            installed.append(observer)
+        injector = _install_chaos(runtime, point)
         try:
-            results.append(
-                run_uvm_body(
-                    forked,
-                    plan.body,
-                    plan.system,
-                    plan.config_label,
-                    plan.app_bytes,
-                    plan.ratio,
-                    metric=plan.metric,
-                )
+            result = run_uvm_body(
+                runtime,
+                plan.body,
+                plan.system,
+                plan.config_label,
+                plan.app_bytes,
+                plan.ratio,
+                metric=plan.metric,
             )
-        except OutOfMemoryError:
-            results.append(None)
+            for observer in observers:
+                observer.body_done(runtime)
         finally:
             if injector is not None:
                 injector.uninstall()
-    return results
+    except OutOfMemoryError:
+        result = None
+    finally:
+        for observer in reversed(installed):
+            observer.uninstall()
+    return result, runtime
+
+
+def execute_point(point: SweepPoint) -> Optional[ExperimentResult]:
+    """Resolve one point; ``None`` when the configuration does not fit
+    (the paper's No-UVM OOM crash under oversubscription).
+
+    ``mode="exact"`` simulates; ``mode="fast"`` answers from the
+    calibrated analytical model without simulating (raising
+    :class:`~repro.fastmodel.FastModelError` when no calibration
+    covers the point).  Every UVM point runs through
+    :func:`run_split_phase`.
+    """
+    if point.mode == "fast":
+        from repro.fastmodel import predict_point
+
+        return predict_point(point)
+    plan = _point_plan(point)
+    if plan is not None:
+        return run_split_phase(point, plan)[0]
+    system = System(point.system)
+    gpu = _gpu_spec(point)
+    link = _link(point)
+    driver_config = _driver_config(point)
+    try:
+        if point.is_dl:
+            trainer = _dl_trainer(point, system)
+            return trainer.run(gpu, link, driver_config=driver_config)
+        workload = _micro_workload(point)
+        return workload.run(
+            system, point.ratio, gpu, link, driver_config=driver_config
+        )
+    except OutOfMemoryError:
+        return None
+
+
+# ----------------------------------------------------------------------
+# shared-prefix snapshots
+# ----------------------------------------------------------------------
+
+#: Driver-config fields that influence the *setup* prefix (CPU faults
+#: during host initialization, instrumentation that records them).  Two
+#: points may share one prefix snapshot only when these agree; every
+#: other knob is setup-inert and is re-applied per fork via
+#: :meth:`~repro.driver.driver.UvmDriver.reconfigure`.
+SETUP_AFFECTING_DRIVER_KEYS = frozenset(
+    {
+        "cpu_fault_overhead",
+        "event_log_enabled",
+        "event_log_capacity",
+        "keep_transfer_records",
+    }
+)
+
+
+def prefix_key(point: SweepPoint) -> Optional[Tuple]:
+    """Key of the setup-prefix snapshot ``point`` can fork from, or
+    ``None`` when it has no prefix (fast mode, No-UVM).
+
+    The key deliberately excludes ``system`` (all UVM systems share the
+    same CPU-only setup), ``ratio`` (the oversubscription occupant is
+    reserved after forking and costs no simulated time), and ``chaos``
+    (the injector installs per fork, after the shared prefix — setup is
+    always simulated fault-free).  The experiment server's snapshot
+    pools and prefix-affine dispatch are keyed by it.
+    """
+    if point.mode == "fast" or System(point.system) is System.NO_UVM:
+        return None
+    setup_overrides = tuple(
+        (k, v)
+        for k, v in point.driver
+        if k in SETUP_AFFECTING_DRIVER_KEYS
+    )
+    return (
+        point.workload,
+        point.link,
+        point.scale,
+        point.gpu,
+        point.batch_size,
+        point.batches,
+        setup_overrides,
+    )
+
+
+def execute_group(
+    points: Sequence[SweepPoint],
+) -> List[Optional[ExperimentResult]]:
+    """Simulate points sharing one :func:`prefix_key` from one snapshot.
+
+    The first point's setup prefix is simulated once and snapshotted,
+    and every point's body runs on a fork of it.  Forked runs are
+    bit-for-bit identical to :func:`execute_point` (``tests/
+    test_snapshot_fork.py`` pins that down).  Sweeps do not use this:
+    a fork costs about as much as building the prefix
+    (``docs/SWEEPS.md``).  Points without a prefix, or whose snapshot
+    cannot be taken, run through :func:`execute_point`.
+    """
+    from repro.engine.snapshot import resolve_prefix_snapshot
+
+    points = list(points)
+    plans = [_point_plan(point) for point in points]
+    key = prefix_key(points[0]) if points else None
+    snapshot = None
+    if key is not None and None not in plans:
+        snapshot, _ = resolve_prefix_snapshot(
+            key, lambda: build_prefix(points[0], plans[0])
+        )
+    if snapshot is None:
+        return [execute_point(point) for point in points]
+    return [
+        run_split_phase(point, plan, snapshot)[0]
+        for point, plan in zip(points, plans)
+    ]
 
 
 def _outcome_to_dict(result: Optional[ExperimentResult]) -> Dict[str, object]:
@@ -723,54 +714,6 @@ def _pool_worker(item: Tuple[int, Dict[str, object]]) -> Tuple[int, Dict[str, ob
     index, point_dict = item
     point = SweepPoint.from_dict(point_dict)
     return index, _outcome_to_dict(execute_point(point))
-
-
-#: Per-worker-process snapshot pool, lazily built on first grouped work
-#: item.  Sits above the shared blob store: a worker that sees the same
-#: prefix twice forks from memory without touching disk.
-_SWEEP_WORKER_POOL = None
-
-
-def _sweep_worker_pool():
-    global _SWEEP_WORKER_POOL
-    if _SWEEP_WORKER_POOL is None:
-        from repro.engine.snapshot import SnapshotPool
-
-        _SWEEP_WORKER_POOL = SnapshotPool(SWEEP_POOL_BYTES)
-    return _SWEEP_WORKER_POOL
-
-
-def _pool_group_worker(
-    item: Tuple[
-        Tuple[int, ...], Tuple[Dict[str, object], ...], Optional[str]
-    ]
-) -> List[Tuple[int, Dict[str, object]]]:
-    """Top-level (picklable) worker: simulate one prefix-sharing group
-    (or one chunk of a split group) in a subprocess.  Only plain dicts
-    and the blob-store path cross the process boundary — snapshots are
-    resolved through the worker pool / shared blob store inside the
-    worker, so each prefix is built once per host."""
-    indices, point_dicts, store_dir = item
-    points = [SweepPoint.from_dict(d) for d in point_dicts]
-    if store_dir is None:
-        if len(points) == 1:
-            outcomes = [_outcome_to_dict(execute_point(points[0]))]
-        else:
-            outcomes = [
-                _outcome_to_dict(result) for result in execute_group(points)
-            ]
-    else:
-        from repro.engine.snapshot import BlobStore
-
-        outcomes = [
-            _outcome_to_dict(result)
-            for result in execute_group(
-                points,
-                pool=_sweep_worker_pool(),
-                blob_store=BlobStore(store_dir),
-            )
-        ]
-    return list(zip(indices, outcomes))
 
 
 # ----------------------------------------------------------------------
@@ -894,11 +837,6 @@ class SweepReport:
     #: Per-point provenance: ``"cache"`` or ``"run"``.
     provenance: List[str]
     wall_seconds: float
-    #: Host-wide blob-store stats when the sweep shared prefix builds
-    #: across worker processes (entries/bytes/builds_total/
-    #: builds_distinct — see :meth:`BlobStore.stats`); ``None`` when the
-    #: sweep ran without a shared store.
-    blob_stats: Optional[Dict[str, object]] = None
 
     @property
     def cached(self) -> int:
@@ -933,31 +871,13 @@ def run_sweep(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     progress: Optional[Callable[[str], None]] = None,
-    snapshot_reuse: bool = True,
-    blob_store_dir: Optional[Union[str, Path]] = None,
 ) -> SweepReport:
     """Execute a batch of sweep points, using the cache and worker pool.
 
-    ``jobs > 1`` simulates cache misses across a process pool; hits are
-    served inline.  Results are returned in point order regardless of
-    completion order, so output is deterministic for any job count.
-
-    ``snapshot_reuse`` groups cache-missing points by
-    :func:`prefix_key`, simulates each group's shared setup prefix
-    once, and forks the remaining points from a snapshot (see
-    :func:`execute_group`).  Reports are byte-identical with the knob
-    on or off; ``False`` forces every point to run cold.
-
-    With ``jobs > 1``, multi-point prefix groups are additionally
-    *split across workers* and their snapshots shared through a
-    host-wide :class:`~repro.engine.snapshot.BlobStore` (serialize-once
-    transport): each distinct prefix is built by exactly one worker
-    process and every other worker forks from the published blob.
-    Chunks are dispatched prefix-affine — one leader chunk per prefix
-    first, follower chunks after — so followers land when their blob
-    is already hot.  ``blob_store_dir`` (or ``$REPRO_BLOB_STORE``)
-    names a persistent store directory; by default a per-sweep
-    temporary directory is used and removed afterwards.
+    Every cache miss runs through :func:`execute_point`: inline, or one
+    point per worker process with ``jobs > 1``; hits are served inline.
+    Results are returned in point order regardless of completion order,
+    so output is deterministic for any job count.
     """
     if isinstance(points, SweepGrid):
         points = points.expand()
@@ -1001,101 +921,20 @@ def run_sweep(
 
     # Analytical fast-mode points resolve in microseconds; answer them
     # inline instead of shipping them through the worker pool.
-    simulated_pending: List[int] = []
+    simulated: List[int] = []
     for index in pending:
         if points[index].mode == "fast":
             finish(index, _outcome_to_dict(execute_point(points[index])))
         else:
-            simulated_pending.append(index)
-    pending = simulated_pending
+            simulated.append(index)
 
-    # Partition the misses into prefix-sharing groups.  Ungroupable
-    # points (prefix_key None) and singleton groups run cold; each group
-    # is one unit of pool work so its snapshot never crosses a process
-    # boundary.
-    groups: List[List[int]] = []
-    if snapshot_reuse:
-        keyed: Dict[Tuple, List[int]] = {}
-        solo: List[int] = []
-        for index in pending:
-            key = prefix_key(points[index])
-            if key is None:
-                solo.append(index)
-            else:
-                keyed.setdefault(key, []).append(index)
-        for members in keyed.values():
-            if len(members) > 1:
-                groups.append(members)
-            else:
-                solo.extend(members)
-        groups.extend([index] for index in solo)
+    if jobs > 1 and len(simulated) > 1:
+        work = [(index, points[index].to_dict()) for index in simulated]
+        with multiprocessing.Pool(processes=min(jobs, len(work))) as pool:
+            for index, outcome in pool.imap_unordered(_pool_worker, work):
+                finish(index, outcome)
     else:
-        groups = [[index] for index in pending]
+        for index in simulated:
+            finish(index, _outcome_to_dict(execute_point(points[index])))
 
-    # With several jobs, split multi-point groups into per-worker chunks
-    # that share the prefix through a host-wide blob store instead of
-    # serializing the whole group onto one worker.  Chunks are ordered
-    # leaders-first (chunk rank 0 of every prefix, then rank 1, ...):
-    # imap dispatches in list order, so each prefix's single builder
-    # starts before its followers and the followers fork a hot blob.
-    units: List[List[int]] = groups
-    store_dir: Optional[str] = None
-    store_cleanup = None
-    if jobs > 1 and any(len(members) > 1 for members in groups):
-        explicit = blob_store_dir or os.environ.get(BLOB_STORE_ENV)
-        if explicit:
-            store_dir = str(explicit)
-        else:
-            import tempfile
-
-            store_cleanup = tempfile.TemporaryDirectory(prefix="repro-blobs-")
-            store_dir = store_cleanup.name
-        ranked: List[Tuple[int, List[int]]] = []
-        for members in groups:
-            parts = min(jobs, len(members)) if len(members) > 1 else 1
-            for rank in range(parts):
-                ranked.append((rank, members[rank::parts]))
-        ranked.sort(key=lambda item: item[0])
-        units = [chunk for _, chunk in ranked]
-
-    blob_stats: Optional[Dict[str, object]] = None
-    try:
-        if len(units) > 1 and jobs > 1:
-            work = [
-                (
-                    tuple(members),
-                    tuple(points[index].to_dict() for index in members),
-                    store_dir,
-                )
-                for members in units
-            ]
-            with multiprocessing.Pool(processes=min(jobs, len(units))) as pool:
-                for batch in pool.imap_unordered(_pool_group_worker, work):
-                    for index, outcome in batch:
-                        finish(index, outcome)
-        else:
-            for members in units:
-                if len(members) == 1:
-                    index = members[0]
-                    finish(
-                        index, _outcome_to_dict(execute_point(points[index]))
-                    )
-                else:
-                    group_results = execute_group([points[i] for i in members])
-                    for index, result in zip(members, group_results):
-                        finish(index, _outcome_to_dict(result))
-        if store_dir is not None:
-            from repro.engine.snapshot import BlobStore
-
-            blob_stats = BlobStore(store_dir).stats()
-    finally:
-        if store_cleanup is not None:
-            store_cleanup.cleanup()
-
-    return SweepReport(
-        points,
-        results,
-        provenance,
-        time.monotonic() - started,
-        blob_stats=blob_stats,
-    )
+    return SweepReport(points, results, provenance, time.monotonic() - started)

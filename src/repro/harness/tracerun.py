@@ -7,19 +7,20 @@ and the ``--trace`` flags on ``run``/``chaos``: it simulates one
 usual :class:`~repro.harness.results.ExperimentResult` and the tracer
 holding the timeline.
 
-The tracer attaches *after* the setup prefix — exactly where
-:func:`~repro.harness.sweep.execute_group` attaches a chaos injector on
-a snapshot fork — so a cold traced run and a fork-traced run of the same
-point produce byte-identical trace JSON and equal ``trace_digest``
-values (pinned by ``tests/test_trace.py``).
+The tracer is a :class:`~repro.harness.sweep.PointObserver` of
+:func:`~repro.harness.sweep.run_split_phase`: it attaches *after* the
+setup prefix and before the chaos injector, so a cold traced run and a
+fork-traced run of the same point produce byte-identical trace JSON and
+equal ``trace_digest`` values (pinned by ``tests/test_trace.py``).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError, OutOfMemoryError
+from repro.errors import ConfigurationError
 from repro.harness.results import ExperimentResult
+from repro.harness.sweep import PointObserver
 from repro.instrument.trace import TraceConfig, Tracer
 
 
@@ -101,6 +102,25 @@ def _record_totals(tracer: Tracer, runtime) -> None:
     )
 
 
+class _TraceObserver(PointObserver):
+    """Install ``tracer`` for the measured body, bracketing it with the
+    replay header and the migration totals."""
+
+    def __init__(self, tracer: Tracer, point) -> None:
+        self.tracer = tracer
+        self.point = point
+
+    def install(self, runtime, plan) -> None:
+        self.tracer.install(runtime)
+        _record_context(self.tracer, runtime, self.point, plan)
+
+    def body_done(self, runtime) -> None:
+        _record_totals(self.tracer, runtime)
+
+    def uninstall(self) -> None:
+        self.tracer.uninstall()
+
+
 def traced_run(
     point,
     trace_config: Optional[TraceConfig] = None,
@@ -120,14 +140,7 @@ def traced_run(
     Raises :class:`~repro.errors.ConfigurationError` for points without
     a split-phase plan (No-UVM has no driver to trace).
     """
-    from repro.harness.runner import run_uvm_body, run_uvm_prefix
-    from repro.harness.sweep import (
-        _driver_config,
-        _gpu_spec,
-        _install_chaos,
-        _link,
-        _point_plan,
-    )
+    from repro.harness.sweep import _point_plan, build_prefix, run_split_phase
 
     plan = _point_plan(point)
     if plan is None:
@@ -135,42 +148,17 @@ def traced_run(
             f"{point.label}: tracing needs a UVM system (No-UVM has no driver)"
         )
     tracer = Tracer(trace_config or TraceConfig())
-    driver_config = _driver_config(point)
-    try:
-        runtime = run_uvm_prefix(
-            plan.setup, _gpu_spec(point), _link(point), driver_config=driver_config
-        )
-    except OutOfMemoryError:
-        return None, tracer, None
+    snapshot = None
     if via_fork:
-        from repro.driver.config import UvmDriverConfig
         from repro.engine.snapshot import EngineSnapshot
 
-        runtime = EngineSnapshot(runtime).fork()
-        runtime.driver.reconfigure(driver_config or UvmDriverConfig())
-    # The tracer installs after the prefix (and after any fork), in the
-    # same slot where chaos attaches, so the measured-body timeline is
-    # independent of how the prefix state was produced.
-    tracer.install(runtime)
-    _record_context(tracer, runtime, point, plan)
-    injector = _install_chaos(runtime, point)
-    try:
-        result = run_uvm_body(
-            runtime,
-            plan.body,
-            plan.system,
-            plan.config_label,
-            plan.app_bytes,
-            plan.ratio,
-            metric=plan.metric,
-        )
-        _record_totals(tracer, runtime)
-    except OutOfMemoryError:
-        return None, tracer, runtime
-    finally:
-        if injector is not None:
-            injector.uninstall()
-        tracer.uninstall()
+        prefix = build_prefix(point, plan)
+        if prefix is None:
+            return None, tracer, None
+        snapshot = EngineSnapshot(prefix)
+    result, runtime = run_split_phase(
+        point, plan, snapshot, observers=(_TraceObserver(tracer, point),)
+    )
     return result, tracer, runtime
 
 

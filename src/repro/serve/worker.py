@@ -12,11 +12,10 @@ store (one ``pickle.loads`` away — a prefix built by *any* worker is
 warm for all of them), and only a host-wide miss simulates the setup
 prefix, publishes its blob for the other workers, and admits it
 locally.  The measured body always runs **on a fork of the snapshot**
-— the exact split-phase protocol of
-:func:`~repro.harness.sweep.execute_group`, which
-``tests/test_snapshot_fork.py`` pins byte-identical to a monolithic
-cold :func:`~repro.harness.sweep.execute_point` run.  Points without a
-prefix key (No-UVM, ``snapshot_reuse=False`` opt-outs) run unpooled.
+through :func:`~repro.harness.sweep.run_split_phase`, the one
+execution path of every UVM point, so a served outcome is
+byte-identical to :func:`~repro.harness.sweep.execute_point`.  Points
+without a prefix key (No-UVM, fast mode) run unpooled.
 
 Everything crossing the process boundary is a plain dict: the point in,
 ``{"outcome", "source", "pid", "pool", "blob_store"}`` out.
@@ -28,7 +27,6 @@ import os
 from typing import Dict, Optional, Tuple
 
 from repro.engine.snapshot import BlobStore, SnapshotPool
-from repro.errors import OutOfMemoryError
 
 #: Default per-worker snapshot-pool budget (bytes).
 DEFAULT_POOL_BYTES = 256 * 1024 * 1024
@@ -111,73 +109,34 @@ def execute_point_pooled(
     (warm in-process pool hit), ``"blob"`` (forked a blob another
     worker published), ``"cold"`` (prefix simulated here, snapshot
     published/admitted for next time) or ``"unpooled"`` (no pool or
-    store / no split-phase plan).  The outcome dict is exactly what the
-    sweep cache stores, so served results compare byte-for-byte with
-    ``repro run``.
+    store, no split-phase plan, or a prefix that could not be pooled).
+    The outcome dict is exactly what the sweep cache stores, so served
+    results compare byte-for-byte with ``repro run``.
     """
-    from repro.driver.config import UvmDriverConfig
     from repro.engine.snapshot import resolve_prefix_snapshot
-    from repro.harness.runner import run_uvm_body, run_uvm_prefix
     from repro.harness.sweep import (
-        _driver_config,
-        _gpu_spec,
-        _install_chaos,
-        _link,
         _outcome_to_dict,
         _point_plan,
+        build_prefix,
         execute_point,
         prefix_key,
+        run_split_phase,
     )
 
     warm = pool is not None or store is not None
     key = prefix_key(point) if warm else None
     plan = _point_plan(point) if key is not None else None
-    if key is None or plan is None:
+    if plan is None:
         return _outcome_to_dict(execute_point(point)), "unpooled"
-
-    oom_sentinel = []
-
-    def build():
-        try:
-            return run_uvm_prefix(
-                plan.setup,
-                _gpu_spec(point),
-                _link(point),
-                driver_config=_driver_config(point),
-            )
-        except OutOfMemoryError:
-            oom_sentinel.append(True)
-            return None
-
     snapshot, origin = resolve_prefix_snapshot(
-        key, build, pool=pool, store=store
+        key, lambda: build_prefix(point, plan), pool=pool, store=store
     )
     if snapshot is None:
-        if oom_sentinel:
-            return {"status": "oom"}, "cold"
-        # A non-quiescent prefix cannot be pooled; degrade to the
-        # monolithic cold path (identical results, no reuse).
+        # The prefix did not fit or could not be snapshotted: nothing
+        # to pool, so run the point cold.
         return _outcome_to_dict(execute_point(point)), "unpooled"
+    # The body runs on a fork even right after a build, so cold, blob
+    # and warm requests all execute the same protocol.
+    result, _ = run_split_phase(point, plan, snapshot)
     source = {"pool": "fork", "blob": "blob", "built": "cold"}[origin]
-    # Run the body on a fork (not the captured prefix itself) so cold,
-    # blob and warm paths all execute the same protocol.
-    runtime = snapshot.fork()
-
-    runtime.driver.reconfigure(_driver_config(point) or UvmDriverConfig())
-    injector = _install_chaos(runtime, point)
-    try:
-        result = run_uvm_body(
-            runtime,
-            plan.body,
-            plan.system,
-            plan.config_label,
-            plan.app_bytes,
-            plan.ratio,
-            metric=plan.metric,
-        )
-    except OutOfMemoryError:
-        return {"status": "oom"}, source
-    finally:
-        if injector is not None:
-            injector.uninstall()
     return _outcome_to_dict(result), source

@@ -529,6 +529,7 @@ class TestServerEndToEnd:
             for driver in (
                 {"vectorized": False},
                 {"eviction_policy": "mru"},
+                {"snapshot_reuse": False},
             ):
                 point = dict(fir_point().to_dict(), driver=driver)
                 with pytest.raises(ServeError) as info:

@@ -16,9 +16,7 @@ Four layers, mirroring ``tests/test_snapshot_fork.py``:
   across claimants; :class:`~repro.engine.snapshot.SnapshotPool`
   misses are single-flight across threads,
 - **end to end** — two worker pools sharing one store directory build
-  a prefix once and serve identical bytes; a multi-job
-  :func:`~repro.harness.sweep.run_sweep` stays byte-identical to a
-  serial one while building each distinct prefix exactly once.
+  a prefix once and serve identical bytes.
 
 As in ``test_snapshot_fork.py`` there is deliberately no tolerance
 anywhere: the blob transport is advertised as a pure wall-clock
@@ -55,8 +53,6 @@ from repro.harness.sweep import (
     _link,
     _point_plan,
     execute_point,
-    prefix_key,
-    run_sweep,
 )
 from repro.instrument.trace import NULL_TRACER
 
@@ -178,14 +174,9 @@ def _assert_blob_matches_deepcopy_and_cold(point):
     blob_result, blob_digest = _body_on(snapshot.fork(), point)
     assert blob_result == deep_result
     assert blob_digest == deep_digest
-    if not point.chaos:
-        # The cold monolithic path (execute_point) has no split-phase
-        # chaos hook, so the cold cross-check is for fault-free points;
-        # chaos identity is covered fork-vs-fork above and by
-        # tests/test_chaos_subsystem.py's determinism suite.
-        cold = execute_point(point)
-        assert cold is not None
-        assert blob_result == cold.to_dict()
+    cold = execute_point(point)
+    assert cold is not None
+    assert blob_result == cold.to_dict()
 
 
 class TestDifferentialIdentity:
@@ -230,9 +221,8 @@ class TestDifferentialIdentity:
         )
 
     def test_chaos_fork_matches_cold_chaos_run(self):
-        # Cold chaos runs go through the split-phase _execute_chaos_point,
-        # which *does* install the injector at the same boundary — so
-        # here the cold cross-check applies too.
+        # A cold chaos run installs the injector at the same boundary
+        # as a fork: after the prefix, before the body.
         point = SweepPoint(
             workload="fir",
             system="UvmDiscard",
@@ -545,24 +535,3 @@ class TestResolveHierarchy:
         assert source_a2 == "fork"
         assert cold == warm == again
         assert store.stats()["builds_total"] == 1
-
-    def test_multi_job_sweep_builds_each_prefix_once(self, tmp_path):
-        points = [
-            SweepPoint(
-                workload="dl:vgg16",
-                system=system,
-                batch_size=8,
-                scale=0.03125,
-                batches=4,
-            )
-            for system in UVM_SYSTEMS
-        ]
-        store_dir = tmp_path / "blobs"
-        report = run_sweep(points, jobs=2, blob_store_dir=store_dir)
-        serial = run_sweep(points, jobs=1)
-        assert report.to_json() == serial.to_json()
-        assert report.blob_stats is not None
-        assert report.blob_stats["builds_total"] == 1
-        assert report.blob_stats["builds_distinct"] == 1
-        counts = BlobStore(store_dir).build_counts()
-        assert list(counts.values()) == [1]

@@ -10,14 +10,15 @@ Three layers, mirroring the machinery's structure:
 - group level — for a differential corpus spanning every workload
   family, system, ratio and a set of setup-inert driver variants,
   :func:`~repro.harness.sweep.execute_group` (shared prefix, snapshot,
-  fork per point) must reproduce :func:`execute_point` (cold) results
-  byte-for-byte,
+  fork per point) must reproduce :func:`execute_point` (cold,
+  split-phase) results byte-for-byte, and :func:`execute_point` must
+  reproduce the workload's own monolithic ``run()`` program,
 - sweep level — :func:`run_sweep` reports and cache contents must be
-  identical with forking on or off, serial or pooled.
+  identical at one job and at two.
 
-There is deliberately no tolerance anywhere in this file: snapshot
-reuse is advertised as a pure wall-clock optimization, so a single
-diverging bit is a semantics bug, not noise.
+There is deliberately no tolerance anywhere in this file: forking and
+the setup/body split are advertised as changing no simulated value, so
+a single diverging bit is a semantics bug, not noise.
 """
 
 from __future__ import annotations
@@ -80,6 +81,32 @@ def _grouped_corpus():
         groups.setdefault(prefix_key(point), []).append(point)
     assert None not in groups
     return sorted(groups.items(), key=lambda kv: repr(kv[0]))
+
+
+def _monolithic(point):
+    """``point`` as one program: the workload's own ``run()``."""
+    from repro.errors import OutOfMemoryError
+    from repro.harness.sweep import (
+        _dl_trainer,
+        _driver_config,
+        _gpu_spec,
+        _link,
+        _micro_workload,
+    )
+    from repro.harness.systems import System
+
+    system = System(point.system)
+    gpu, link, driver_config = _gpu_spec(point), _link(point), _driver_config(point)
+    try:
+        if point.is_dl:
+            return _dl_trainer(point, system).run(
+                gpu, link, driver_config=driver_config
+            )
+        return _micro_workload(point).run(
+            system, point.ratio, gpu, link, driver_config=driver_config
+        )
+    except OutOfMemoryError:
+        return None
 
 
 def _canonical(result):
@@ -189,12 +216,6 @@ class TestPrefixKey:
         point = SweepPoint("dl:vgg16", "No-UVM", batch_size=8, scale=0.03125)
         assert prefix_key(point) is None
 
-    def test_snapshot_reuse_override_opts_out(self):
-        point = SweepPoint(
-            "fir", "UvmDiscard", scale=0.01, driver={"snapshot_reuse": False}
-        )
-        assert prefix_key(point) is None
-
     def test_system_ratio_and_inert_knobs_share_a_key(self):
         base = SweepPoint("fir", "UvmDiscard", ratio=2.0, scale=0.01)
         same = [
@@ -242,6 +263,11 @@ class TestForkEqualsCold:
         forked = execute_group(group)
         for point, c, f in zip(group, cold, forked):
             assert _canonical(c) == _canonical(f), point.label
+        # execute_point runs setup and body as two phases; the
+        # workload's own program runs them as one.  Nothing else pins
+        # the split to the monolithic reference.
+        for point, c in zip(group, cold):
+            assert _canonical(c) == _canonical(_monolithic(point)), point.label
 
     def test_single_point_group_falls_back_to_cold(self):
         point = SweepPoint("fir", "UvmDiscard", ratio=2.0, scale=0.01)
@@ -249,7 +275,7 @@ class TestForkEqualsCold:
         assert _canonical(forked) == _canonical(execute_point(point))
 
 
-class TestRunSweepForking:
+class TestRunSweepJobs:
     POINTS = [
         SweepPoint("fir", system, ratio=ratio, scale=0.01)
         for system in ("UVM-opt", "UvmDiscard")
@@ -259,22 +285,16 @@ class TestRunSweepForking:
         for system in ("UVM-opt", "UvmDiscard")
     ]
 
-    def test_report_identical_with_and_without_forking(self, tmp_path):
-        forked = run_sweep(
-            self.POINTS, cache=ResultCache(tmp_path / "a"), snapshot_reuse=True
-        )
-        cold = run_sweep(
-            self.POINTS, cache=ResultCache(tmp_path / "b"), snapshot_reuse=False
-        )
-        assert forked.to_json() == cold.to_json()
-        # A cache populated by forked runs must serve cold re-runs.
-        warm = run_sweep(
-            self.POINTS, cache=ResultCache(tmp_path / "a"), snapshot_reuse=False
-        )
-        assert warm.simulated == 0
-        assert warm.to_json() == forked.to_json()
-
-    def test_pooled_grouped_execution_is_deterministic(self):
-        serial = run_sweep(self.POINTS, snapshot_reuse=True)
-        pooled = run_sweep(self.POINTS, jobs=2, snapshot_reuse=True)
+    def test_report_identical_at_one_and_two_jobs(self):
+        serial = run_sweep(self.POINTS, jobs=1)
+        pooled = run_sweep(self.POINTS, jobs=2)
         assert serial.to_json() == pooled.to_json()
+
+    def test_cache_written_at_one_job_count_serves_the_other(self, tmp_path):
+        for written, read in ((1, 2), (2, 1)):
+            cache = ResultCache(tmp_path / f"jobs{written}")
+            cold = run_sweep(self.POINTS, jobs=written, cache=cache)
+            assert cold.simulated == len(self.POINTS)
+            warm = run_sweep(self.POINTS, jobs=read, cache=cache)
+            assert warm.simulated == 0
+            assert warm.to_json() == cold.to_json()

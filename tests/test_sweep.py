@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DiscardSemanticsError
 from repro.harness.results import ExperimentResult
 from repro.harness.sweep import (
     DL_BATCH_GRID,
@@ -258,6 +258,16 @@ class TestExecutePoint:
             driver={"discarded_queue_enabled": False},
         )
         assert execute_point(base).counters != execute_point(ablated).counters
+
+    def test_strict_lazy_violation_raises(self):
+        # A lazy-discard misuse is a semantics error, not an OOM: it
+        # must surface from execute_point, never turn into ``None``.
+        point = SweepPoint(
+            "knn", "UvmDiscardLazy", link="gen3", ratio=1.5,
+            scale=0.03125, driver={"strict_lazy": True},
+        )
+        with pytest.raises(DiscardSemanticsError):
+            execute_point(point)
 
     def test_bad_driver_override_rejected(self):
         # Rejected when the point is built, before any worker sees it.
