@@ -14,8 +14,8 @@ Run:  python examples/timeline_trace.py
 from __future__ import annotations
 
 from repro.cuda.device import rtx_3080ti
-from repro.cuda.runtime import CudaRuntime
 from repro.harness.oversubscribe import apply_oversubscription
+from repro.harness.runner import run_uvm_prefix
 from repro.harness.systems import System
 from repro.instrument import Tracer
 from repro.interconnect import pcie_gen4
@@ -31,10 +31,14 @@ def main() -> None:
     trainer = DarknetTrainer(
         network, TrainerConfig(batch_size=BATCH, batches=2), System.UVM_DISCARD
     )
-    runtime = CudaRuntime(gpu=rtx_3080ti().scaled(SCALE), link=pcie_gen4())
+    # The CPU-only setup prefix first, then trace the measured body —
+    # the order ``repro trace`` uses.
+    runtime = run_uvm_prefix(
+        trainer.setup_program(), rtx_3080ti().scaled(SCALE), pcie_gen4()
+    )
     apply_oversubscription(runtime, trainer.app_bytes, 1.0)
     tracer = Tracer().install(runtime)
-    runtime.run(trainer.program())
+    runtime.run(trainer.body_program())
     tracer.uninstall()
 
     compute_track = f"{runtime.gpu.name}/compute"

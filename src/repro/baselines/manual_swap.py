@@ -18,7 +18,7 @@ from typing import Callable, Generator, Optional
 from repro.cuda.device import GpuSpec
 from repro.cuda.runtime import CudaRuntime
 from repro.harness.results import ExperimentResult
-from repro.harness.runner import run_uvm_experiment
+from repro.harness.runner import no_setup, run_uvm_experiment
 from repro.instrument.traffic import TransferDirection, TransferReason
 from repro.interconnect.link import Link
 from repro.workloads.dl.networks import NetworkSpec
@@ -41,7 +41,7 @@ class ManualSwapTrainer:
             return 0.0
         return self.config.batch_size * self.config.measured_batches / measured
 
-    def program(self) -> Callable[[CudaRuntime], Generator]:
+    def body_program(self) -> Callable[[CudaRuntime], Generator]:
         net = self.network
         cfg = self.config
 
@@ -144,7 +144,8 @@ class ManualSwapTrainer:
     ) -> ExperimentResult:
         label = config_label or f"bs={self.config.batch_size}"
         return run_uvm_experiment(
-            self.program(),
+            no_setup,
+            self.body_program(),
             SYSTEM_NAME,
             label,
             self.app_bytes,

@@ -902,14 +902,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.set_defaults(func=cmd_sweep)
 
+    from repro.harness.perf import BENCHMARKS
+
     profile = sub.add_parser(
         "profile",
         help="benchmark the simulator and write BENCH_engine.json",
     )
     profile.add_argument(
         "--benchmarks",
-        help="comma list: engine_churn,fault_storm,macro_vgg16,"
-        "sweep_prefix (default all)",
+        help=f"comma list: {','.join(BENCHMARKS)} (default all)",
     )
     profile.add_argument(
         "--repeat",

@@ -89,20 +89,6 @@ class UvmDriverConfig:
     #: ``n * transfer_retry_backoff`` before re-issuing the command.
     transfer_retry_backoff: float = field(default=us(20.0))
 
-    # --- simulation reuse -------------------------------------------------
-    #: Fast-forward strictly periodic workload phases (the DL training
-    #: loop): once ``steady_state_verify_iterations`` consecutive
-    #: iterations produce identical deltas (counters, traffic, RMT
-    #: bytes), replay the delta for the remaining iterations instead of
-    #: simulating them.  Unlike a snapshot fork this *approximates*
-    #: simulated time (float addition order differs), so it is off by
-    #: default and rejected in golden-trace mode (event log or retained
-    #: transfer records).
-    steady_state_fastforward: bool = False
-    #: Consecutive identical iteration deltas required before the
-    #: fast-forward replay engages.
-    steady_state_verify_iterations: int = 2
-
     # --- instrumentation --------------------------------------------------
     #: Retain individual transfer records (memory-heavy; tests only).
     keep_transfer_records: bool = False
@@ -139,26 +125,8 @@ class UvmDriverConfig:
                 "UvmDriverConfig.transfer_max_retries must be >= 0, got "
                 f"{self.transfer_max_retries}"
             )
-        if self.steady_state_verify_iterations < 1:
-            raise ValueError(
-                "UvmDriverConfig.steady_state_verify_iterations must be "
-                f">= 1, got {self.steady_state_verify_iterations}"
-            )
         if self.event_log_capacity is not None and self.event_log_capacity < 1:
             raise ValueError(
                 "UvmDriverConfig.event_log_capacity must be None or >= 1, "
                 f"got {self.event_log_capacity}"
-            )
-        if self.steady_state_fastforward and self.event_log_enabled:
-            raise ValueError(
-                "steady_state_fastforward cannot be combined with "
-                "event_log_enabled: replayed iterations emit no log "
-                "entries, so the trace would silently diverge from a "
-                "full simulation"
-            )
-        if self.steady_state_fastforward and self.keep_transfer_records:
-            raise ValueError(
-                "steady_state_fastforward cannot be combined with "
-                "keep_transfer_records (golden-trace mode): replayed "
-                "iterations produce no per-transfer records"
             )

@@ -466,23 +466,6 @@ class Environment:
         heap entries, matching what the run loop actually holds."""
         return len(self._now_queue) + sum(map(len, self._buckets.values()))
 
-    def advance(self, delta: float) -> None:
-        """Jump the clock forward by ``delta`` seconds.
-
-        Only legal at quiescence: with events on the heap the jump would
-        make their scheduled times lie in the past.  Used by the
-        steady-state fast-forward to replay a verified per-iteration
-        time delta without re-simulating the events behind it.
-        """
-        if delta < 0:
-            raise ValueError(f"cannot advance time backwards: {delta}")
-        if self._heap or self._now_queue:
-            raise SimulationError(
-                "advance() with events on the heap would move scheduled "
-                "times into the past"
-            )
-        self._now += delta
-
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         sequence = self._sequence
         self._sequence = sequence + 1

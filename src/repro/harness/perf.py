@@ -2,7 +2,7 @@
 
 The rest of ``repro.harness`` measures the *simulated* machine; this
 module measures the *simulator* — how many host-side seconds one
-simulated experiment costs.  Five benchmarks cover the layers the fast
+simulated experiment costs.  Four benchmarks cover the layers the fast
 path touches:
 
 - ``engine_churn`` — pure :mod:`repro.engine` event traffic (timeouts,
@@ -18,11 +18,6 @@ path touches:
   one warm VGG-16 prefix once, then fork it repeatedly via the blob
   (``pickle.loads``) and via ``copy.deepcopy``; ``fork_speedup``
   records blob-over-deepcopy and is gated >= 2x in perf-smoke.
-- ``sweep_prefix`` — a 12-point DL grid sharing one setup prefix, run
-  grouped (snapshot/fork + steady-state fast-forward) and cold; the
-  gated wall time is the grouped run, with ``cold_wall_seconds`` and
-  ``speedup`` recording the win over per-point execution, which the
-  fast-forward provides (a fork costs about as much as a prefix build).
 
 ``python -m repro profile`` runs the suite and writes
 ``BENCH_engine.json``; ``--check`` compares against a committed
@@ -36,7 +31,6 @@ runs and act as a canary for accidental behaviour changes.
 from __future__ import annotations
 
 import json
-import platform
 import time
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -202,87 +196,11 @@ def _bench_snapshot_fork() -> Dict[str, float]:
     }
 
 
-def _sweep_prefix_points() -> List["object"]:
-    """The 12-point grid behind ``sweep_prefix``: one shared setup
-    prefix (VGG-16, batch 8, 20 mini-batches) fanned across 3 UVM
-    systems x 4 setup-inert driver variants."""
-    from repro.harness.sweep import SweepPoint
-
-    systems = ("UVM-opt", "UvmDiscard", "UvmDiscardLazy")
-    variants = (
-        {},
-        {"eviction_policy": "fifo"},
-        {"strict_lazy": True},
-        {"discarded_queue_enabled": False},
-    )
-    return [
-        SweepPoint(
-            workload="dl:vgg16",
-            system=system,
-            batch_size=8,
-            scale=0.03125,
-            batches=20,
-            driver={"steady_state_fastforward": True, **variant},
-        )
-        for system in systems
-        for variant in variants
-    ]
-
-
-def _bench_sweep_prefix() -> Dict[str, float]:
-    """Shared-prefix forking + steady-state fast-forward vs cold runs.
-
-    Times a 12-point DL grid twice: cold (per-point ``execute_point``
-    with fast-forward stripped) and grouped (``execute_group``: one
-    setup prefix, snapshot, 12 forks, fast-forwarded training loops).
-    ``wall_seconds`` — the gated metric — is the *grouped* time;
-    ``cold_wall_seconds`` and the derived ``speedup`` give CI the
-    ISSUE-level ">= 3x faster than per-point execution" check.  The
-    deterministic companions sum simulated traffic and elapsed time
-    over the grouped results.
-    """
-    import dataclasses
-
-    from repro.harness.sweep import SweepPoint, execute_group, execute_point
-
-    points = _sweep_prefix_points()
-    cold_points = [
-        dataclasses.replace(
-            p,
-            driver=tuple(
-                (k, v) for k, v in p.driver if k != "steady_state_fastforward"
-            ),
-        )
-        for p in points
-    ]
-    start = time.perf_counter()
-    cold = [execute_point(p) for p in cold_points]
-    cold_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    grouped = execute_group(points)
-    forked_wall = time.perf_counter() - start
-    assert all(r is not None for r in grouped)
-    # Integer observables must agree between the cold and grouped runs;
-    # a mismatch means the optimization changed simulation results.
-    for c, g in zip(cold, grouped):
-        assert c.counters == g.counters, "fork/fast-forward diverged"
-    return {
-        # Overrides the harness's whole-body timing (the body times two
-        # variants internally): the gated wall time is the grouped run.
-        "wall_seconds": forked_wall,
-        "cold_wall_seconds": cold_wall,
-        "speedup": cold_wall / forked_wall if forked_wall > 0 else 0.0,
-        "traffic_gb": sum(r.traffic_gb for r in grouped),
-        "sim_elapsed_seconds": sum(r.elapsed_seconds for r in grouped),
-    }
-
-
 BENCHMARKS: Dict[str, Callable[[], Dict[str, float]]] = {
     "engine_churn": _bench_engine_churn,
     "fault_storm": _bench_fault_storm,
     "macro_vgg16": _bench_macro_vgg16,
     "snapshot_fork": _bench_snapshot_fork,
-    "sweep_prefix": _bench_sweep_prefix,
 }
 
 #: Metrics that legitimately differ run-to-run (host wall clock and its
@@ -292,8 +210,6 @@ BENCHMARKS: Dict[str, Callable[[], Dict[str, float]]] = {
 #: runs/machines.
 NONDETERMINISTIC_KEYS = (
     "wall_seconds",
-    "cold_wall_seconds",
-    "speedup",
     "deepcopy_wall_seconds",
     "fork_speedup",
     "serialize_wall_seconds",
@@ -317,7 +233,7 @@ def run_benchmarks(
     Returns ``{name: {"wall_seconds": ..., <metrics>...}}``.  The
     deterministic metrics come from the fastest repeat (they are
     identical across repeats by construction).  A body that times
-    sub-phases itself (``sweep_prefix``) may return its own
+    sub-phases itself (``snapshot_fork``) may return its own
     ``wall_seconds``, which overrides the harness's whole-body timing.
     """
     selected = list(names) if names is not None else list(BENCHMARKS)
@@ -357,6 +273,8 @@ def results_to_json(
     reference: Optional[Dict[str, float]] = None,
 ) -> str:
     """Render results as the BENCH_engine.json payload."""
+    import platform  # not at module level: the CLI parser imports us
+
     payload = {
         "schema": BENCH_SCHEMA,
         "suite": "repro-simulation-kernel",

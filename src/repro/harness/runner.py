@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 from repro.cuda.device import GpuSpec, HostSpec
 from repro.cuda.runtime import CudaRuntime
@@ -14,7 +14,8 @@ from repro.interconnect.link import Link
 
 
 def run_uvm_experiment(
-    program: Callable,
+    setup_program: Callable,
+    body_program: Callable,
     system: str,
     config_label: str,
     app_bytes: int,
@@ -25,16 +26,29 @@ def run_uvm_experiment(
     driver_config: Optional[UvmDriverConfig] = None,
     metric: Optional[Callable[[CudaRuntime], float]] = None,
 ) -> ExperimentResult:
-    """Run ``program`` under the §7.1 methodology and snapshot the result.
+    """Run one point under the §7.1 methodology: :func:`run_uvm_prefix`
+    for ``setup_program``, then :func:`run_uvm_body` for
+    ``body_program``.
 
-    ``program`` is a host-program generator function taking the runtime;
-    ``ratio`` is the oversubscription ratio (<=1 means "fits").
+    Both are host-program generator functions taking the runtime
+    (:func:`no_setup` for programs without a prefix); ``ratio`` is the
+    oversubscription ratio (<=1 means "fits").
     """
-    runtime = CudaRuntime(gpu=gpu, host=host, link=link, driver_config=driver_config)
-    apply_oversubscription(runtime, app_bytes, ratio)
-    runtime.run(program)
-    value = metric(runtime) if metric is not None else None
-    return ExperimentResult.from_runtime(runtime, system, config_label, metric=value)
+    runtime = run_uvm_prefix(
+        setup_program, gpu, link, host=host, driver_config=driver_config
+    )
+    return run_uvm_body(
+        runtime, body_program, system, config_label, app_bytes, ratio,
+        metric=metric,
+    )
+
+
+def no_setup(cuda: CudaRuntime) -> Generator:
+    """The setup prefix of a program that has none: it allocates and
+    initializes everything in its body (No-UVM and the explicit-buffer
+    baselines)."""
+    return
+    yield
 
 
 def run_uvm_prefix(

@@ -10,7 +10,7 @@ x driver config).  This module is the one engine that runs such grids:
 - :func:`execute_point` runs one point to an
   :class:`~repro.harness.results.ExperimentResult` (or ``None`` when the
   configuration does not fit, e.g. No-UVM under oversubscription);
-  every UVM point runs through :func:`run_split_phase`, the one
+  every simulated point runs through :func:`run_split_phase`, the one
   setup-prefix-then-measured-body pipeline that serve and trace share,
 - :class:`ResultCache` memoizes finished points on disk, keyed by a
   stable content hash of the *full* point configuration, so re-running a
@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import threading
@@ -155,6 +156,12 @@ class SweepPoint:
         object.__setattr__(self, "system", _normalize_system(self.system))
         object.__setattr__(self, "driver", _normalize_driver(self.driver))
         object.__setattr__(self, "chaos", _normalize_driver(self.chaos))
+        for name in ("ratio", "scale"):
+            # json.loads accepts NaN/Infinity: refuse them here rather
+            # than crash later on a label or a frame count.
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite: {value}")
         if self.mode not in ("exact", "fast"):
             raise ConfigurationError(
                 f"mode must be 'exact' or 'fast', got {self.mode!r}"
@@ -456,12 +463,10 @@ class _PointPlan:
     metric: Optional[Callable] = None
 
 
-def _point_plan(point: SweepPoint) -> Optional[_PointPlan]:
-    """Split-phase plan for ``point``; ``None`` for No-UVM, whose
-    program has no driver and runs whole."""
+def _point_plan(point: SweepPoint) -> _PointPlan:
+    """Split-phase plan for ``point`` (No-UVM DL points have an empty
+    setup prefix)."""
     system = System(point.system)
-    if system is System.NO_UVM:
-        return None
     if point.is_dl:
         trainer = _dl_trainer(point, system)
         return _PointPlan(
@@ -526,9 +531,9 @@ def run_split_phase(
     snapshot=None,
     observers: Sequence[PointObserver] = (),
 ) -> Tuple[Optional[ExperimentResult], Optional[object]]:
-    """Run one UVM point as setup prefix, then measured body.
+    """Run one point as setup prefix, then measured body.
 
-    The one execution path of every simulated UVM point — run, sweep,
+    The one execution path of every simulated point — run, sweep,
     serve and trace.  Without ``snapshot`` the prefix is simulated
     here; with one, the body runs on a fork of it, reconfigured to the
     point's full driver config.  Then ``observers`` install in order,
@@ -586,30 +591,14 @@ def execute_point(point: SweepPoint) -> Optional[ExperimentResult]:
     ``mode="exact"`` simulates; ``mode="fast"`` answers from the
     calibrated analytical model without simulating (raising
     :class:`~repro.fastmodel.FastModelError` when no calibration
-    covers the point).  Every UVM point runs through
+    covers the point).  Every simulated point runs through
     :func:`run_split_phase`.
     """
     if point.mode == "fast":
         from repro.fastmodel import predict_point
 
         return predict_point(point)
-    plan = _point_plan(point)
-    if plan is not None:
-        return run_split_phase(point, plan)[0]
-    system = System(point.system)
-    gpu = _gpu_spec(point)
-    link = _link(point)
-    driver_config = _driver_config(point)
-    try:
-        if point.is_dl:
-            trainer = _dl_trainer(point, system)
-            return trainer.run(gpu, link, driver_config=driver_config)
-        workload = _micro_workload(point)
-        return workload.run(
-            system, point.ratio, gpu, link, driver_config=driver_config
-        )
-    except OutOfMemoryError:
-        return None
+    return run_split_phase(point, _point_plan(point))[0]
 
 
 # ----------------------------------------------------------------------
@@ -679,7 +668,7 @@ def execute_group(
     plans = [_point_plan(point) for point in points]
     key = prefix_key(points[0]) if points else None
     snapshot = None
-    if key is not None and None not in plans:
+    if key is not None:
         snapshot, _ = resolve_prefix_snapshot(
             key, lambda: build_prefix(points[0], plans[0])
         )

@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.harness.results import ExperimentResult
 from repro.harness.sweep import PointObserver
+from repro.harness.systems import System
 from repro.instrument.trace import TraceConfig, Tracer
 
 
@@ -137,16 +138,16 @@ def traced_run(
     prefix instead of continuing the cold runtime — the trace must be
     identical either way.
 
-    Raises :class:`~repro.errors.ConfigurationError` for points without
-    a split-phase plan (No-UVM has no driver to trace).
+    Raises :class:`~repro.errors.ConfigurationError` for No-UVM points
+    (No-UVM has no driver to trace).
     """
     from repro.harness.sweep import _point_plan, build_prefix, run_split_phase
 
-    plan = _point_plan(point)
-    if plan is None:
+    if System(point.system) is System.NO_UVM:
         raise ConfigurationError(
             f"{point.label}: tracing needs a UVM system (No-UVM has no driver)"
         )
+    plan = _point_plan(point)
     tracer = Tracer(trace_config or TraceConfig())
     snapshot = None
     if via_fork:

@@ -13,7 +13,7 @@ warm for all of them), and only a host-wide miss simulates the setup
 prefix, publishes its blob for the other workers, and admits it
 locally.  The measured body always runs **on a fork of the snapshot**
 through :func:`~repro.harness.sweep.run_split_phase`, the one
-execution path of every UVM point, so a served outcome is
+execution path of every simulated point, so a served outcome is
 byte-identical to :func:`~repro.harness.sweep.execute_point`.  Points
 without a prefix key (No-UVM, fast mode) run unpooled.
 
@@ -125,9 +125,9 @@ def execute_point_pooled(
 
     warm = pool is not None or store is not None
     key = prefix_key(point) if warm else None
-    plan = _point_plan(point) if key is not None else None
-    if plan is None:
+    if key is None:
         return _outcome_to_dict(execute_point(point)), "unpooled"
+    plan = _point_plan(point)
     snapshot, origin = resolve_prefix_snapshot(
         key, lambda: build_prefix(point, plan), pool=pool, store=store
     )

@@ -186,17 +186,6 @@ class BfsWorkload:
 
         return body
 
-    def program(self, system: System) -> Callable[[CudaRuntime], Generator]:
-        """The host program for ``system`` (a generator function)."""
-        setup = self.setup_program()
-        body = self.body_program(system)
-
-        def program(cuda: CudaRuntime) -> Generator:
-            yield from setup(cuda)
-            yield from body(cuda)
-
-        return program
-
     def run(
         self,
         system: System,
@@ -207,7 +196,8 @@ class BfsWorkload:
     ) -> ExperimentResult:
         """Run one oversubscription cell of the BFS table."""
         return run_uvm_experiment(
-            self.program(system),
+            self.setup_program(),
+            self.body_program(system),
             system.value,
             ratio_label(ratio),
             self.config.app_bytes,

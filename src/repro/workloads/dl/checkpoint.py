@@ -31,7 +31,7 @@ from repro.cuda.kernel import BufferAccess, KernelSpec
 from repro.cuda.runtime import CudaRuntime
 from repro.errors import ConfigurationError
 from repro.harness.results import ExperimentResult
-from repro.harness.runner import run_uvm_experiment
+from repro.harness.runner import no_setup, run_uvm_experiment
 from repro.harness.systems import DiscardPolicy, System
 from repro.interconnect.link import Link
 from repro.workloads.dl.networks import NetworkSpec
@@ -87,7 +87,7 @@ class CheckpointTrainer:
             return 0.0
         return self.config.batch_size * self.config.measured_batches / measured
 
-    def program(self) -> Callable[[CudaRuntime], Generator]:
+    def body_program(self) -> Callable[[CudaRuntime], Generator]:
         net = self.network
         cfg = self.config
         segment = self.segment
@@ -204,7 +204,8 @@ class CheckpointTrainer:
     ) -> ExperimentResult:
         label = config_label or f"bs={self.config.batch_size}"
         return run_uvm_experiment(
-            self.program(),
+            no_setup,
+            self.body_program(),
             SYSTEM_NAME,
             label,
             self.network.total_bytes(self.config.batch_size),

@@ -31,7 +31,7 @@ from repro.cuda.runtime import CudaRuntime
 from repro.driver.config import UvmDriverConfig
 from repro.errors import ConfigurationError
 from repro.harness.results import ExperimentResult
-from repro.harness.runner import run_uvm_experiment
+from repro.harness.runner import no_setup, run_uvm_experiment
 from repro.harness.systems import DiscardPolicy, System
 from repro.instrument.traffic import TransferDirection
 from repro.interconnect.link import Link
@@ -99,28 +99,17 @@ class DarknetTrainer:
     # programs
     # ------------------------------------------------------------------
 
-    def program(self) -> Callable[[CudaRuntime], Generator]:
-        if self.system is System.NO_UVM:
-            return self._program_no_uvm()
-        setup = self.setup_program()
-        body = self.body_program()
-
-        def program(cuda: CudaRuntime) -> Generator:
-            yield from setup(cuda)
-            yield from body(cuda)
-
-        return program
-
     def setup_program(self) -> Callable[[CudaRuntime], Generator]:
         """The UVM setup prefix: allocate every managed buffer and
         initialize the model weights on the host.  Depends only on the
         network and trainer config — not on the evaluated system — so
         the sweep harness can simulate it once and fork per system.
         CPU-only, hence quiescent (and snapshottable) afterwards.
-        Not defined for No-UVM, which sizes explicit device buffers.
+        No-UVM has none (:func:`~repro.harness.runner.no_setup`): its
+        body allocates explicit device buffers.
         """
         if self.system is System.NO_UVM:
-            raise ConfigurationError("No-UVM has no shareable setup prefix")
+            return no_setup
         net = self.network
         cfg = self.config
 
@@ -171,7 +160,7 @@ class DarknetTrainer:
         """The measured training loop, resuming from a completed
         :meth:`setup_program` (possibly in a forked runtime)."""
         if self.system is System.NO_UVM:
-            raise ConfigurationError("No-UVM has no split body program")
+            return self._body_no_uvm()
         net = self.network
         cfg = self.config
         policy = self.policy
@@ -201,13 +190,6 @@ class DarknetTrainer:
                     return []
                 return [BufferAccess(workspace, AccessMode.WRITE)]
 
-            detector = None
-            if cuda.driver.config.steady_state_fastforward:
-                from repro.instrument.steady_state import SteadyStateDetector
-
-                detector = SteadyStateDetector(
-                    cuda, cuda.driver.config.steady_state_verify_iterations
-                )
             for batch in range(cfg.batches):
                 if batch == cfg.warmup_batches:
                     yield from cuda.synchronize()
@@ -316,27 +298,13 @@ class DarknetTrainer:
                 if act_mode is not None:
                     cuda.discard_async(outputs[0], mode=act_mode, stream=compute)
                 yield from cuda.synchronize()
-                # Every batch ends at a fully drained sync: a legal place
-                # to compare iteration deltas and, once the loop is
-                # provably periodic, replay the delta for the remaining
-                # batches instead of simulating them.  Warm-up batches are
-                # excluded so begin_measurement always precedes a replay.
-                if (
-                    detector is not None
-                    and batch >= cfg.warmup_batches
-                    and detector.mark()
-                ):
-                    remaining = cfg.batches - batch - 1
-                    if remaining:
-                        detector.fast_forward(remaining)
-                    break
             yield from cuda.synchronize()
             # Keep the linter honest about the library buffer's lifetime.
             assert extra is None or not extra.freed
 
         return body
 
-    def _program_no_uvm(self) -> Callable[[CudaRuntime], Generator]:
+    def _body_no_uvm(self) -> Callable[[CudaRuntime], Generator]:
         """Listing 4: explicit buffers; only works when everything fits."""
         net = self.network
         cfg = self.config
@@ -418,7 +386,8 @@ class DarknetTrainer:
         """Train and snapshot a result row; metric is images/second."""
         label = config_label or f"bs={self.config.batch_size}"
         return run_uvm_experiment(
-            self.program(),
+            self.setup_program(),
+            self.body_program(),
             self.system.value,
             label,
             self.app_bytes,

@@ -156,17 +156,6 @@ class FirWorkload:
 
         return body
 
-    def program(self, system: System) -> Callable[[CudaRuntime], Generator]:
-        """The host program for ``system`` (a generator function)."""
-        setup = self.setup_program()
-        body = self.body_program(system)
-
-        def program(cuda: CudaRuntime) -> Generator:
-            yield from setup(cuda)
-            yield from body(cuda)
-
-        return program
-
     def run(
         self,
         system: System,
@@ -177,7 +166,8 @@ class FirWorkload:
     ) -> ExperimentResult:
         """Run one Table 3/4 cell."""
         return run_uvm_experiment(
-            self.program(system),
+            self.setup_program(),
+            self.body_program(system),
             system.value,
             ratio_label(ratio),
             self.config.app_bytes,

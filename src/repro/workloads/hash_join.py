@@ -214,17 +214,6 @@ class HashJoinWorkload:
 
         return body
 
-    def program(self, system: System) -> Callable[[CudaRuntime], Generator]:
-        """The host program (setup prefix + measured body)."""
-        setup = self.setup_program()
-        body = self.body_program(system)
-
-        def program(cuda: CudaRuntime) -> Generator:
-            yield from setup(cuda)
-            yield from body(cuda)
-
-        return program
-
     def run(
         self,
         system: System,
@@ -235,7 +224,8 @@ class HashJoinWorkload:
     ) -> ExperimentResult:
         """Run one Table 7/8 cell."""
         return run_uvm_experiment(
-            self.program(system),
+            self.setup_program(),
+            self.body_program(system),
             system.value,
             ratio_label(ratio),
             self.config.app_bytes,

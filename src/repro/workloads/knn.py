@@ -216,17 +216,6 @@ class KnnWorkload:
 
         return body
 
-    def program(self, system: System) -> Callable[[CudaRuntime], Generator]:
-        """The host program for ``system`` (a generator function)."""
-        setup = self.setup_program()
-        body = self.body_program(system)
-
-        def program(cuda: CudaRuntime) -> Generator:
-            yield from setup(cuda)
-            yield from body(cuda)
-
-        return program
-
     def run(
         self,
         system: System,
@@ -237,7 +226,8 @@ class KnnWorkload:
     ) -> ExperimentResult:
         """Run one oversubscription cell of the kNN table."""
         return run_uvm_experiment(
-            self.program(system),
+            self.setup_program(),
+            self.body_program(system),
             system.value,
             ratio_label(ratio),
             self.config.app_bytes,

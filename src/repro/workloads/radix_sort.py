@@ -176,19 +176,6 @@ class RadixSortWorkload:
 
         return body
 
-    def program(
-        self, system: System, prefetch: Optional[bool] = None
-    ) -> Callable[[CudaRuntime], Generator]:
-        """The host program (setup prefix + measured body)."""
-        setup = self.setup_program()
-        body = self.body_program(system, prefetch=prefetch)
-
-        def program(cuda: CudaRuntime) -> Generator:
-            yield from setup(cuda)
-            yield from body(cuda)
-
-        return program
-
     def run(
         self,
         system: System,
@@ -200,7 +187,8 @@ class RadixSortWorkload:
     ) -> ExperimentResult:
         """Run one Table 5/6 cell."""
         return run_uvm_experiment(
-            self.program(system, prefetch=prefetch),
+            self.setup_program(),
+            self.body_program(system, prefetch=prefetch),
             system.value,
             ratio_label(ratio),
             self.config.app_bytes,

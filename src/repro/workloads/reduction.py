@@ -166,17 +166,6 @@ class ReductionWorkload:
 
         return body
 
-    def program(self, system: System) -> Callable[[CudaRuntime], Generator]:
-        """The host program for ``system`` (a generator function)."""
-        setup = self.setup_program()
-        body = self.body_program(system)
-
-        def program(cuda: CudaRuntime) -> Generator:
-            yield from setup(cuda)
-            yield from body(cuda)
-
-        return program
-
     def run(
         self,
         system: System,
@@ -187,7 +176,8 @@ class ReductionWorkload:
     ) -> ExperimentResult:
         """Run one oversubscription cell of the reduction table."""
         return run_uvm_experiment(
-            self.program(system),
+            self.setup_program(),
+            self.body_program(system),
             system.value,
             ratio_label(ratio),
             self.config.app_bytes,

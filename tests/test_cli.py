@@ -322,6 +322,17 @@ class TestProfileCompare:
         assert "PERF REGRESSION: engine_churn" in capsys.readouterr().err
 
 
+class TestProfileHelp:
+    def test_benchmarks_help_names_exactly_the_suite(self, capsys):
+        from repro.harness.perf import BENCHMARKS
+
+        with pytest.raises(SystemExit):
+            main(["profile", "--help"])
+        text = "".join(capsys.readouterr().out.split())
+        listed = text.split("commalist:", 1)[1].split("(defaultall)", 1)[0]
+        assert listed.split(",") == list(BENCHMARKS)
+
+
 class TestChaosWorkloadListing:
     """The --workloads error is a contract: it must name every catalog
     entry so the listing can never drift from ``CHAOS_WORKLOADS``."""

@@ -45,6 +45,13 @@ def populate_cpu(env, driver, blocks):
         driver.note_access(block, AccessMode.WRITE)
 
 
+class TestConfig:
+    def test_event_log_capacity_validated(self):
+        with pytest.raises(ValueError):
+            UvmDriverConfig(event_log_capacity=0).validate()
+        UvmDriverConfig(event_log_capacity=None).validate()
+
+
 class TestRegistration:
     def test_duplicate_gpu_rejected(self):
         env, driver = make_driver()

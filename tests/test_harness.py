@@ -146,13 +146,17 @@ class TestRunner:
         assert ratio_label(3.9999) == "400%"
 
     def test_run_uvm_experiment_end_to_end(self):
-        def program(cuda):
-            buffer = cuda.malloc_managed(8 * MIB)
-            cuda.prefetch_async(buffer)
+        def setup(cuda):
+            cuda.session["buffer"] = cuda.malloc_managed(8 * MIB)
+            yield from cuda.synchronize()
+
+        def body(cuda):
+            cuda.prefetch_async(cuda.session["buffer"])
             yield from cuda.synchronize()
 
         result = run_uvm_experiment(
-            program,
+            setup,
+            body,
             "UVM-opt",
             "200%",
             app_bytes=16 * MIB,

@@ -112,13 +112,21 @@ class TestDriverInvariants:
 
     @pytest.fixture(scope="class")
     def stressed(self):
-        workload = HashJoinWorkload(HashJoinConfig().scaled(SCALE))
-        gpu = rtx_3080ti().scaled(SCALE)
-        runtime = CudaRuntime(gpu=gpu)
-        from repro.harness.oversubscribe import apply_oversubscription
+        from repro.harness.runner import run_uvm_body, run_uvm_prefix
 
-        apply_oversubscription(runtime, workload.config.app_bytes, 2.0)
-        runtime.run(workload.program(System.UVM_DISCARD_LAZY))
+        workload = HashJoinWorkload(HashJoinConfig().scaled(SCALE))
+        system = System.UVM_DISCARD_LAZY
+        runtime = run_uvm_prefix(
+            workload.setup_program(), rtx_3080ti().scaled(SCALE), pcie_gen4()
+        )
+        run_uvm_body(
+            runtime,
+            workload.body_program(system),
+            system.value,
+            "200%",
+            workload.config.app_bytes,
+            2.0,
+        )
         return runtime
 
     def test_no_frame_leak(self, stressed):

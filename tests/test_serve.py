@@ -502,6 +502,14 @@ class TestServerEndToEnd:
             assert status_of("POST", "/run", {"client": "x"}) == 400  # no point
             assert status_of("POST", "/run", {"point": {"workload": "nope"}}) == 400
             assert status_of("POST", "/run", {"point": 7}) == 400
+            # json.loads accepts NaN/Infinity; such a point is bad input.
+            for key, value in (
+                ("ratio", float("nan")),
+                ("ratio", float("inf")),
+                ("scale", float("inf")),
+            ):
+                point = dict(fir_point().to_dict(), **{key: value})
+                assert status_of("POST", "/run", {"point": point}) == 400
             assert (
                 status_of("POST", "/run", {"point": fir_point().to_dict(),
                                            "wait": "yes"})
@@ -522,6 +530,8 @@ class TestServerEndToEnd:
             )
             assert connection_status == 400
             assert "error" in payload
+            counters = client.metrics()["counters"]
+            assert counters.get("serve/errors", 0) == 0
 
     def test_bad_driver_override_answers_400(self):
         with RunningServer() as running:
@@ -530,6 +540,7 @@ class TestServerEndToEnd:
                 {"vectorized": False},
                 {"eviction_policy": "mru"},
                 {"snapshot_reuse": False},
+                {"steady_state_fastforward": True},
             ):
                 point = dict(fir_point().to_dict(), driver=driver)
                 with pytest.raises(ServeError) as info:

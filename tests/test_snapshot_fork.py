@@ -12,7 +12,7 @@ Three layers, mirroring the machinery's structure:
   :func:`~repro.harness.sweep.execute_group` (shared prefix, snapshot,
   fork per point) must reproduce :func:`execute_point` (cold,
   split-phase) results byte-for-byte, and :func:`execute_point` must
-  reproduce the workload's own monolithic ``run()`` program,
+  reproduce the workload's own ``run()`` (the paper benchmarks' path),
 - sweep level — :func:`run_sweep` reports and cache contents must be
   identical at one job and at two.
 
@@ -83,8 +83,8 @@ def _grouped_corpus():
     return sorted(groups.items(), key=lambda kv: repr(kv[0]))
 
 
-def _monolithic(point):
-    """``point`` as one program: the workload's own ``run()``."""
+def _own_run(point):
+    """``point`` through the workload's own ``run()``."""
     from repro.errors import OutOfMemoryError
     from repro.harness.sweep import (
         _dl_trainer,
@@ -263,11 +263,10 @@ class TestForkEqualsCold:
         forked = execute_group(group)
         for point, c, f in zip(group, cold, forked):
             assert _canonical(c) == _canonical(f), point.label
-        # execute_point runs setup and body as two phases; the
-        # workload's own program runs them as one.  Nothing else pins
-        # the split to the monolithic reference.
+        # The sweep pipeline and the workload's own run() (what the
+        # paper benchmarks call) must agree exactly.
         for point, c in zip(group, cold):
-            assert _canonical(c) == _canonical(_monolithic(point)), point.label
+            assert _canonical(c) == _canonical(_own_run(point)), point.label
 
     def test_single_point_group_falls_back_to_cold(self):
         point = SweepPoint("fir", "UvmDiscard", ratio=2.0, scale=0.01)

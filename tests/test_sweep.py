@@ -65,6 +65,15 @@ class TestSweepPoint:
             SweepPoint(workload="fir", system="UVM-opt", link="gen5")
         with pytest.raises(ConfigurationError):
             SweepPoint(workload="fir", system="UVM-opt", scale=-1.0)
+        for name in ("ratio", "scale"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ConfigurationError, match="must be finite"):
+                    SweepPoint(workload="fir", system="UVM-opt", **{name: value})
+                with pytest.raises(ConfigurationError, match="must be finite"):
+                    SweepPoint(
+                        workload="dl:vgg16", system="UVM-opt", batch_size=50,
+                        **{name: value},
+                    )
 
     def test_dict_roundtrip(self):
         point = SweepPoint(
@@ -250,6 +259,19 @@ class TestExecutePoint:
             System.UVM_DISCARD, 2.0, rtx_3080ti().scaled(0.01), pcie_gen4()
         )
         assert via_sweep.to_dict() == direct.to_dict()
+
+    def test_no_uvm_dl_point_matches_trainer_run(self):
+        from repro.cuda.device import rtx_3080ti
+        from repro.harness.systems import System
+        from repro.interconnect import pcie_gen4
+        from repro.workloads.dl import DarknetTrainer, TrainerConfig, vgg16
+
+        point = SweepPoint("dl:vgg16", "No-UVM", batch_size=50, scale=0.03125)
+        direct = DarknetTrainer(
+            vgg16().scaled(0.03125), TrainerConfig(batch_size=50), System.NO_UVM
+        ).run(rtx_3080ti().scaled(0.03125), pcie_gen4())
+        assert direct.metric > 0
+        assert execute_point(point).to_dict() == direct.to_dict()
 
     def test_driver_override_changes_results(self):
         base = SweepPoint(workload="fir", system="UvmDiscard", ratio=3.0, scale=0.01)

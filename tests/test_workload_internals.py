@@ -28,13 +28,13 @@ class TestFirInternals:
     def test_prefetch_overlaps_compute(self):
         """The two-stream structure overlaps kernels with the next
         window's H2D prefetch — visible on the timeline."""
-        from repro.cuda.runtime import CudaRuntime
+        from repro.harness.runner import run_uvm_prefix
         from repro.instrument.trace import Tracer
 
         workload = FirWorkload(FirConfig().scaled(SCALE))
-        runtime = CudaRuntime(gpu=GPU, link=pcie_gen4())
+        runtime = run_uvm_prefix(workload.setup_program(), GPU, pcie_gen4())
         tracer = Tracer().install(runtime)
-        runtime.run(workload.program(System.UVM_OPT))
+        runtime.run(workload.body_program(System.UVM_OPT))
         compute_track = f"{GPU.name}/compute"
         compute_busy = tracer.busy_seconds(compute_track)
         overlap = tracer.overlap_seconds(compute_track, "link/h2d")
