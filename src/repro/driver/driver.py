@@ -652,7 +652,7 @@ class UvmDriver:
             self.log.log(
                 self.env.now, "evict", "reclaimed discarded block %d", block.index
             )
-        if cost:
+        if cost and not self.env.advance(cost):
             yield self.env.timeout(cost)
         if tracer.enabled:
             now = self.env.now
@@ -668,20 +668,25 @@ class UvmDriver:
 
     def _evict_used(self, g: _GpuState, block: VaBlock) -> Generator:
         """Swap the LRU used block out to host memory (a real transfer)."""
+        env = self.env
         tracer = self.tracer
-        started = self.env.now if tracer.enabled else 0.0
+        started = env.now if tracer.enabled else 0.0
         cost = g.page_table.unmap_block(block.index)
         if block.transfer_needed_for_eviction:
-            yield self.env.timeout(cost)
+            if not env.advance(cost):
+                yield env.timeout(cost)
             yield from self.migration.transfer_blocks(
                 [block], TransferDirection.DEVICE_TO_HOST,
                 TransferReason.EVICTION, g.engines,
             )
             block.residency = CPU
-            yield self.env.timeout(self._ensure_cpu_mapped(block))
+            cost = self._ensure_cpu_mapped(block)
+            if not env.advance(cost):
+                yield env.timeout(cost)
         else:
             block.residency = None
-            yield self.env.timeout(cost)
+            if not env.advance(cost):
+                yield env.timeout(cost)
         frame = block.frame
         block.frame = None
         if frame is not None:
@@ -938,7 +943,7 @@ class UvmDriver:
             yield self.env.timeout(
                 recency_only * self.config.recency_update_per_block
             )
-        if revive_cost:
+        if revive_cost and not self.env.advance(revive_cost):
             yield self.env.timeout(revive_cost)
 
         # Acquire frames for everything that needs fresh physical memory.
@@ -970,6 +975,7 @@ class UvmDriver:
             # Loop-invariant attribute chains, hoisted: in the evicting
             # steady state every one of these is read once per block.
             timeout = env.timeout
+            advance = env.advance
             unused_q = queues.unused
             used_q = queues.used
             discarded_q = (
@@ -1017,7 +1023,8 @@ class UvmDriver:
                 try:
                     cost = page_table.unmap_block(index)
                     if victim.populated and not victim.discarded:
-                        yield timeout(cost)
+                        if not advance(cost):
+                            yield timeout(cost)
                         request = d2h_engine.try_acquire()
                         if request is None:
                             request = d2h_engine.request()
@@ -1033,9 +1040,9 @@ class UvmDriver:
                                     else BIG_PAGE
                                 )
                             )
-                            yield timeout(
-                                link.transfer_time(span_bytes, chunk=chunk)
-                            )
+                            wire = link.transfer_time(span_bytes, chunk=chunk)
+                            if not advance(wire):
+                                yield timeout(wire)
                             rec = traffic.record(
                                 env.now,
                                 d2h,
@@ -1051,14 +1058,17 @@ class UvmDriver:
                         finally:
                             d2h_engine.release(request)
                         victim.residency = CPU
-                        yield timeout(
+                        cost = (
                             0.0
                             if cpu_table.is_mapped(index)
                             else cpu_table.map_block(index)
                         )
+                        if not advance(cost):
+                            yield timeout(cost)
                     else:
                         victim.residency = None
-                        yield timeout(cost)
+                        if not advance(cost):
+                            yield timeout(cost)
                     vframe = victim.frame
                     victim.frame = None
                     if vframe is not None:
@@ -1106,7 +1116,8 @@ class UvmDriver:
                         category="discard",
                         args={"block": block.index},
                     )
-            yield self.env.timeout(cost)
+            if not self.env.advance(cost):
+                yield self.env.timeout(cost)
 
         if migrate_blocks:
             cost = 0.0
@@ -1118,7 +1129,8 @@ class UvmDriver:
                 if cpu_table.is_mapped(index):
                     cost += cpu_table.unmap_block(index)
                 cost += page_table.map_block(index)
-            yield self.env.timeout(cost)
+            if not self.env.advance(cost):
+                yield self.env.timeout(cost)
             yield from self.migration.transfer_blocks(
                 migrate_blocks,
                 TransferDirection.HOST_TO_DEVICE,
@@ -1230,10 +1242,12 @@ class UvmDriver:
             blocks = yield from chaos.on_fault_batch(self, gpu, blocks)
         self.counters.bump(Counters.GPU_FAULT_BATCHES)
         self.counters.bump(Counters.GPU_FAULTED_BLOCKS, len(blocks))
-        yield self.env.timeout(
+        cost = (
             self.config.fault_batch_overhead
             + len(blocks) * self.config.fault_per_block
         )
+        if not self.env.advance(cost):
+            yield self.env.timeout(cost)
         if self.config.auto_prefetch_enabled:
             self._maybe_auto_prefetch(gpu, blocks)
         # Inlined make_resident_gpu for the no-chunking case: the fault
@@ -1404,10 +1418,12 @@ class UvmDriver:
             return
         tracer = self.tracer
         started = self.env.now if tracer.enabled else 0.0
-        yield self.env.timeout(
+        cost = (
             self.config.prefetch_command_overhead
             + len(blocks) * self.config.prefetch_per_block
         )
+        if not self.env.advance(cost):
+            yield self.env.timeout(cost)
         self.counters.bump(Counters.PREFETCHED_BLOCKS, len(blocks))
         if destination == CPU:
             yield from self.make_resident_cpu(

@@ -31,7 +31,11 @@ little uniformity for speed:
   global sequence number, and the pop rule compares ``(time, seq)``
   across both structures, so the processed order is bit-identical to a
   single-heap engine — the now-queue only removes the O(log n) sift
-  cost from events that could never sort before the current time.
+  cost from events that could never sort before the current time,
+- a process whose timeout would be the very next event anyway takes it
+  inline (:meth:`Environment.advance`): the clock, the sequence counter
+  and the event count move exactly as if the timeout had gone through
+  the heap, but nothing is scheduled, popped or resumed.
 
 Both arenas live on the :class:`Environment` and are ordinary state to
 ``deepcopy``, so a forked :class:`~repro.engine.snapshot.EngineSnapshot`
@@ -97,6 +101,8 @@ _TIMEOUT_POOL_LIMIT = 128
 
 #: Upper bound on the per-environment arena of recycled plain Events.
 _EVENT_POOL_LIMIT = 256
+
+_INFINITY = float("inf")
 
 
 class Event:
@@ -391,7 +397,8 @@ class Environment:
     """The simulation environment: virtual clock plus the event heap."""
 
     __slots__ = ("_now", "_heap", "_buckets", "_now_queue", "_sequence",
-                 "_timeout_pool", "_event_pool", "_monitors", "_event_count")
+                 "_timeout_pool", "_event_pool", "_monitors", "_event_count",
+                 "_horizon", "_until")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -420,6 +427,14 @@ class Environment:
         # loops pay one truthiness test per event.
         self._monitors: List[Callable[["Environment", int], None]] = []
         self._event_count = 0
+        # What :meth:`advance` may run ahead to: the active run loop's
+        # deadline (``inf`` without one), or ``None`` when no run loop
+        # dispatches the current callback alone — outside :meth:`run`,
+        # inside :meth:`step`, and while an event fans out to several
+        # callbacks.  ``_until`` is the sentinel of an active
+        # ``run(until=<event>)``.
+        self._horizon: Optional[float] = None
+        self._until: Optional[Event] = None
 
     @property
     def now(self) -> float:
@@ -508,6 +523,47 @@ class Environment:
             return timeout
         return Timeout(self, delay, value)
 
+    def advance(self, delay: float) -> bool:
+        """Take a ``delay``-second timeout inline when it would be next.
+
+        Returns ``True`` after moving the clock by ``delay`` when a
+        ``yield self.timeout(delay)`` from the running process would be
+        the very next event the run loop processes, so nothing else
+        could run in between: no monitor is installed, the now-queue is
+        empty, the caller is the only callback of the event being
+        dispatched by :meth:`run` (not :meth:`step`), every heap entry
+        is strictly later than ``now + delay``, ``now + delay`` is
+        within the run's deadline, and the run's sentinel event has not
+        fired.  The sequence counter and :attr:`event_count` advance by
+        one each, exactly as the skipped timeout would have moved them.
+        Otherwise returns ``False`` and changes nothing; the caller then
+        yields the timeout as usual::
+
+            if not env.advance(cost):
+                yield env.timeout(cost)
+        """
+        horizon = self._horizon
+        if (
+            horizon is None
+            or self._now_queue
+            or self._monitors
+            or not delay >= 0  # also refuses NaN
+        ):
+            return False
+        time = self._now + delay
+        if time > horizon:
+            return False
+        heap = self._heap
+        if heap and heap[0] <= time:
+            return False
+        until = self._until
+        if until is not None and until.callbacks is None:
+            return False
+        self._now = time
+        self._sequence += 1
+        self._event_count += 1
+        return True
+
     def event(self) -> Event:
         """Create a fresh pending event (arena-recycled when possible)."""
         pool = self._event_pool
@@ -573,7 +629,12 @@ class Environment:
         if not self._heap and not self._now_queue:
             raise SimulationError("step() on an empty event heap")
         event = self._pop_next()
-        event._process_callbacks()
+        horizon = self._horizon
+        self._horizon = None
+        try:
+            event._process_callbacks()
+        finally:
+            self._horizon = horizon
         self._event_count += 1
         if self._monitors:
             count = self._event_count
@@ -594,10 +655,90 @@ class Environment:
         arena = self._event_pool
         getrefcount = sys.getrefcount
         pending = _PENDING
-        if isinstance(until, Event):
-            sentinel = until
-            while sentinel.callbacks is not None:
+        # advance() reads the run's horizon and sentinel from the
+        # environment; a nested run (the chaos injector runs one from a
+        # monitor) installs its own and restores the outer run's.
+        saved = self._horizon, self._until
+        try:
+            if isinstance(until, Event):
+                sentinel = until
+                horizon = self._horizon = _INFINITY
+                self._until = sentinel
+                while sentinel.callbacks is not None:
+                    if nowq:
+                        if (
+                            heap
+                            and heap[0] <= self._now
+                            and buckets[heap[0]][0][0] < nowq[0][0]
+                        ):
+                            time = heap[0]
+                            if time < self._now:
+                                raise SimulationError(
+                                    f"time went backwards: {time} < {self._now}"
+                                )
+                            bucket = buckets[time]
+                            event = bucket.pop(0)[1]
+                            if not bucket:
+                                heappop(heap)
+                                del buckets[time]
+                        else:
+                            event = nowq.popleft()[1]
+                    elif heap:
+                        time = heap[0]
+                        if time < self._now:
+                            raise SimulationError(
+                                f"time went backwards: {time} < {self._now}"
+                            )
+                        bucket = buckets[time]
+                        event = bucket.pop(0)[1]
+                        if not bucket:
+                            heappop(heap)
+                            del buckets[time]
+                        self._now = time
+                    else:
+                        raise SimulationError(
+                            "simulation starved before the awaited event fired"
+                        )
+                    callbacks = event.callbacks
+                    event.callbacks = None  # type: ignore[assignment]
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
+                    else:
+                        # Later callbacks run before anything the earlier
+                        # ones schedule: no run-ahead during a fan-out.
+                        self._horizon = None
+                        for callback in callbacks:
+                            callback(event)
+                        self._horizon = horizon
+                    cls = type(event)
+                    if cls is Timeout:
+                        if len(pool) < _TIMEOUT_POOL_LIMIT and getrefcount(event) == 2:
+                            callbacks.clear()
+                            event.callbacks = callbacks
+                            pool.append(event)
+                    elif cls is Event:
+                        if len(arena) < _EVENT_POOL_LIMIT and getrefcount(event) == 2:
+                            callbacks.clear()
+                            event.callbacks = callbacks
+                            event._value = pending
+                            event._exception = None
+                            arena.append(event)
+                    self._event_count += 1
+                    if self._monitors:
+                        count = self._event_count
+                        for monitor in self._monitors:
+                            monitor(self, count)
+                if sentinel._exception is not None:
+                    raise sentinel._exception
+                return sentinel._value
+            deadline = float(until) if until is not None else None
+            horizon = self._horizon = _INFINITY if deadline is None else deadline
+            self._until = None
+            while True:
                 if nowq:
+                    if deadline is not None and self._now > deadline:
+                        self._now = deadline
+                        return None
                     if (
                         heap
                         and heap[0] <= self._now
@@ -617,6 +758,9 @@ class Environment:
                         event = nowq.popleft()[1]
                 elif heap:
                     time = heap[0]
+                    if deadline is not None and time > deadline:
+                        self._now = deadline
+                        return None
                     if time < self._now:
                         raise SimulationError(
                             f"time went backwards: {time} < {self._now}"
@@ -628,16 +772,21 @@ class Environment:
                         del buckets[time]
                     self._now = time
                 else:
-                    raise SimulationError(
-                        "simulation starved before the awaited event fired"
-                    )
+                    break
                 callbacks = event.callbacks
                 event.callbacks = None  # type: ignore[assignment]
                 if len(callbacks) == 1:
                     callbacks[0](event)
                 else:
+                    self._horizon = None
                     for callback in callbacks:
                         callback(event)
+                    self._horizon = horizon
+                # Recycle events nobody references anymore: the only live
+                # references are the loop variable and getrefcount's
+                # argument, so reuse cannot be observed from outside.  Exact
+                # types only — subclasses (Process, Request, AllOf) carry
+                # extra state and stay garbage-collected.
                 cls = type(event)
                 if cls is Timeout:
                     if len(pool) < _TIMEOUT_POOL_LIMIT and getrefcount(event) == 2:
@@ -656,79 +805,8 @@ class Environment:
                     count = self._event_count
                     for monitor in self._monitors:
                         monitor(self, count)
-            if sentinel._exception is not None:
-                raise sentinel._exception
-            return sentinel._value
-        deadline = float(until) if until is not None else None
-        while True:
-            if nowq:
-                if deadline is not None and self._now > deadline:
-                    self._now = deadline
-                    return None
-                if (
-                    heap
-                    and heap[0] <= self._now
-                    and buckets[heap[0]][0][0] < nowq[0][0]
-                ):
-                    time = heap[0]
-                    if time < self._now:
-                        raise SimulationError(
-                            f"time went backwards: {time} < {self._now}"
-                        )
-                    bucket = buckets[time]
-                    event = bucket.pop(0)[1]
-                    if not bucket:
-                        heappop(heap)
-                        del buckets[time]
-                else:
-                    event = nowq.popleft()[1]
-            elif heap:
-                time = heap[0]
-                if deadline is not None and time > deadline:
-                    self._now = deadline
-                    return None
-                if time < self._now:
-                    raise SimulationError(
-                        f"time went backwards: {time} < {self._now}"
-                    )
-                bucket = buckets[time]
-                event = bucket.pop(0)[1]
-                if not bucket:
-                    heappop(heap)
-                    del buckets[time]
-                self._now = time
-            else:
-                break
-            callbacks = event.callbacks
-            event.callbacks = None  # type: ignore[assignment]
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            else:
-                for callback in callbacks:
-                    callback(event)
-            # Recycle events nobody references anymore: the only live
-            # references are the loop variable and getrefcount's
-            # argument, so reuse cannot be observed from outside.  Exact
-            # types only — subclasses (Process, Request, AllOf) carry
-            # extra state and stay garbage-collected.
-            cls = type(event)
-            if cls is Timeout:
-                if len(pool) < _TIMEOUT_POOL_LIMIT and getrefcount(event) == 2:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    pool.append(event)
-            elif cls is Event:
-                if len(arena) < _EVENT_POOL_LIMIT and getrefcount(event) == 2:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                    event._value = pending
-                    event._exception = None
-                    arena.append(event)
-            self._event_count += 1
-            if self._monitors:
-                count = self._event_count
-                for monitor in self._monitors:
-                    monitor(self, count)
-        if deadline is not None and deadline > self._now:
-            self._now = deadline
-        return None
+            if deadline is not None and deadline > self._now:
+                self._now = deadline
+            return None
+        finally:
+            self._horizon, self._until = saved

@@ -80,8 +80,9 @@ class GpuExecutor:
         """Simulation process executing one kernel launch."""
         request = self.sm_engine.request()
         yield request
+        env = self.env
         tracer = self.tracer
-        started = self.env.now if tracer.enabled else 0.0
+        started = env.now if tracer.enabled else 0.0
         restarts = 0
         try:
             self.kernels_launched += 1
@@ -124,7 +125,8 @@ class GpuExecutor:
                     for block, mode in wave:
                         note_access(block, mode)
                     if compute_per_wave > 0:
-                        yield self.env.timeout(compute_per_wave)
+                        if not env.advance(compute_per_wave):
+                            yield env.timeout(compute_per_wave)
                     # Injected abort-and-retry: a transient execution fault
                     # (e.g. an uncorrectable ECC hit mid-kernel) kills the
                     # launch at a wave boundary; the runtime re-executes it

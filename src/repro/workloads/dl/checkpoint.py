@@ -23,7 +23,7 @@ trade.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Generator, Optional
 
 from repro.access import AccessMode
 from repro.cuda.device import GpuSpec
@@ -32,7 +32,6 @@ from repro.cuda.runtime import CudaRuntime
 from repro.errors import ConfigurationError
 from repro.harness.results import ExperimentResult
 from repro.harness.runner import no_setup, run_uvm_experiment
-from repro.harness.systems import DiscardPolicy, System
 from repro.interconnect.link import Link
 from repro.workloads.dl.networks import NetworkSpec
 from repro.workloads.dl.trainer import TrainerConfig, _waves_for

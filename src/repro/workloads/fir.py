@@ -23,7 +23,7 @@ every system — the rising baseline of Table 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from repro.access import AccessMode

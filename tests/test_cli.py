@@ -322,6 +322,25 @@ class TestProfileCompare:
         assert "PERF REGRESSION: engine_churn" in capsys.readouterr().err
 
 
+class TestProfileBodyWall:
+    def test_body_reported_wall_drives_best_of_and_progress(self, monkeypatch):
+        """A body that times itself (``snapshot_fork``) is ranked and
+        reported by the time it returns, not by the harness timer."""
+        from repro.harness import perf
+
+        walls = iter((5.0, 1.0, 3.0))
+
+        def fake_body():
+            wall = next(walls)
+            return {"wall_seconds": wall, "run_wall": wall}
+
+        monkeypatch.setitem(perf.BENCHMARKS, "fake", fake_body)
+        lines = []
+        results = perf.run_benchmarks(["fake"], repeat=3, progress=lines.append)
+        assert results["fake"] == {"wall_seconds": 1.0, "run_wall": 1.0}
+        assert lines == ["fake: 1.0000 s (best of 3)"]
+
+
 class TestProfileHelp:
     def test_benchmarks_help_names_exactly_the_suite(self, capsys):
         from repro.harness.perf import BENCHMARKS

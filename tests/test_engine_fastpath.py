@@ -2,8 +2,10 @@
 
 The optimized engine takes shortcuts — synchronous continuation through
 already-processed events, ``try_acquire`` grants that never touch the
-heap, recycled :class:`Timeout` objects, lazily formatted log entries.
-These tests pin down the semantics the shortcuts must preserve.
+heap, recycled :class:`Timeout` objects, timeouts taken inline by the
+run-ahead clock (:meth:`Environment.advance`), lazily formatted log
+entries.  These tests pin down the semantics the shortcuts must
+preserve.
 """
 
 from __future__ import annotations
@@ -294,3 +296,392 @@ class TestEventLogLaziness:
         log.log(0.0, "note", "literal 100%% done")
         # No args: the template is the message, %-escapes included.
         assert log.entries()[0].message == "literal 100%% done"
+
+
+# ---------------------------------------------------------------------------
+# Run-ahead clock: Environment.advance
+# ---------------------------------------------------------------------------
+
+
+def _never(self, delay):
+    """The reference engine: every timeout goes through the heap."""
+    return False
+
+
+def _inline(env, delay):
+    """The call-site idiom of the driver, migration and gpu layers."""
+    if not env.advance(delay):
+        yield env.timeout(delay)
+
+
+def _with_and_without(monkeypatch, run):
+    """Call ``run()`` with the run-ahead clock, then with the reference.
+
+    Asserts that both calls return equal outcomes and returns the first
+    call's ``advance`` answers, in call order, so a case can also pin
+    which calls ran ahead and which were refused.
+    """
+    real = Environment.advance
+    answers = []
+
+    def counting(self, delay):
+        taken = real(self, delay)
+        answers.append(taken)
+        return taken
+
+    outcomes = []
+    for advance in (counting, _never):
+        monkeypatch.setattr(Environment, "advance", advance)
+        outcomes.append(run())
+    assert outcomes[0] == outcomes[1]
+    return answers
+
+
+def _both_ways(monkeypatch, scenario):
+    """:func:`_with_and_without` for ``scenario(env, log)`` on a fresh
+    environment; the outcome is ``(now, sequence, event_count, log)``."""
+
+    def run():
+        env = Environment()
+        log = []
+        scenario(env, log)
+        return env.now, env._sequence, env.event_count, log
+
+    return _with_and_without(monkeypatch, run)
+
+
+class TestRunAhead:
+    def test_lone_process_runs_ahead(self, monkeypatch):
+        def scenario(env, log):
+            def ticker():
+                for delay in (1.0, 0.5, 0.0, 2.25):
+                    yield from _inline(env, delay)
+                    log.append(("tick", env.now, env.event_count))
+
+            env.process(ticker())
+            env.run()
+
+        assert _both_ways(monkeypatch, scenario) == [True] * 4
+
+    def test_equal_time_tie_is_refused(self, monkeypatch):
+        def scenario(env, log):
+            def heaped():
+                yield env.timeout(1.0)
+                log.append(("heaped", env.now, env.event_count))
+
+            def inline():
+                yield from _inline(env, 1.0)
+                log.append(("inline", env.now, env.event_count))
+
+            env.process(heaped())
+            env.process(inline())
+            env.run()
+
+        # The heap entry at exactly now + delay is older: it runs first.
+        assert _both_ways(monkeypatch, scenario) == [False]
+
+    def test_process_waking_inside_the_window_is_refused(self, monkeypatch):
+        def scenario(env, log):
+            def sleeper(delay):
+                yield env.timeout(delay)
+                log.append(("sleeper", delay, env.now, env.event_count))
+
+            def runner():
+                # 2.0 would overtake the sleeper at 0.5; afterwards the
+                # next wake-up (3.0) lies strictly beyond now + 1.0.
+                yield from _inline(env, 2.0)
+                log.append(("runner", env.now, env.event_count))
+                yield from _inline(env, 0.5)
+                log.append(("runner", env.now, env.event_count))
+
+            env.process(sleeper(0.5))
+            env.process(sleeper(3.0))
+            env.process(runner())
+            env.run()
+
+        assert _both_ways(monkeypatch, scenario) == [False, True]
+
+    def test_run_until_time_stops_at_the_deadline(self, monkeypatch):
+        def scenario(env, log):
+            def ticker():
+                for _ in range(6):
+                    yield from _inline(env, 1.0)
+                    log.append(("tick", env.now, env.event_count))
+
+            env.process(ticker())
+            for until in (2.5, 4.0, 4.0, None):
+                env.run(until=until)
+                log.append(("stopped", env.now, env._sequence, env.event_count))
+
+        answers = _both_ways(monkeypatch, scenario)
+        # 3.0 is past the first deadline (2.5); 4.0 is exactly on the
+        # second, and 5.0 past it.
+        assert answers == [True, True, False, True, False, True]
+
+    def test_run_until_event_with_a_waiter_on_the_sentinel(self, monkeypatch):
+        def scenario(env, log):
+            gate = env.event()
+
+            def opener():
+                yield from _inline(env, 1.0)
+                gate.succeed("open")
+                yield from _inline(env, 1.0)
+                log.append(("opener", env.now, env.event_count))
+
+            def waiter():
+                value = yield gate
+                log.append(("waiter", value, env.now, env.event_count))
+                # The sentinel has fired: the run returns before this
+                # timeout, so it must not be taken inline.
+                yield from _inline(env, 0.25)
+                log.append(("waiter", env.now, env.event_count))
+
+            env.process(waiter())
+            env.process(opener())
+            log.append(("returned", env.run(until=gate), env.now))
+            env.run()
+
+        assert _both_ways(monkeypatch, scenario) == [True, False, False]
+
+    @pytest.mark.parametrize("until", ("drain", "deadline", "sentinel"))
+    def test_fan_out_callbacks_are_refused(self, monkeypatch, until):
+        def scenario(env, log):
+            gate = env.event()
+
+            def waiter(name):
+                yield gate
+                log.append((name, "woken", env.now, env.event_count))
+                yield from _inline(env, 1.0)
+                log.append((name, "done", env.now, env.event_count))
+
+            def opener():
+                yield env.timeout(1.0)
+                gate.succeed()
+                yield env.timeout(5.0)
+
+            env.process(waiter("a"))
+            env.process(waiter("b"))
+            env.process(opener())
+            if until == "deadline":
+                env.run(until=10.0)
+            elif until == "sentinel":
+                env.run(until=env.timeout(10.0))
+            env.run()
+
+        # Taken inline, "a" would finish before "b" even woke up.
+        assert _both_ways(monkeypatch, scenario)[:2] == [False, False]
+
+    def test_step_never_runs_ahead(self, monkeypatch):
+        def scenario(env, log):
+            def ticker():
+                for _ in range(3):
+                    yield from _inline(env, 1.0)
+                    log.append(("tick", env.now, env.event_count))
+
+            env.process(ticker())
+            while not env.quiescent:
+                env.step()
+                log.append(("step", env.now, env.event_count))
+
+        assert _both_ways(monkeypatch, scenario) == [False] * 3
+
+    def test_step_inside_a_run_never_runs_ahead(self, monkeypatch):
+        def scenario(env, log):
+            def child():
+                yield from _inline(env, 1.0)
+                log.append(("child", env.now, env.event_count))
+
+            def stepper():
+                env.process(child())
+                env.step()  # dispatches the child's first resume
+                log.append(("stepper", env.now, env.event_count))
+                yield env.timeout(0.5)
+                log.append(("stepper", env.now, env.event_count))
+
+            env.process(stepper())
+            env.run()
+
+        assert _both_ways(monkeypatch, scenario) == [False]
+
+    def test_installed_monitor_is_never_skipped(self, monkeypatch):
+        def scenario(env, log):
+            env.add_monitor(
+                lambda e, count: log.append(("monitor", e.now, count))
+            )
+
+            def ticker():
+                for _ in range(3):
+                    yield from _inline(env, 1.0)
+
+            env.process(ticker())
+            env.run()
+
+        assert _both_ways(monkeypatch, scenario) == [False] * 3
+
+    def test_nan_and_negative_delays_are_refused(self, monkeypatch):
+        def scenario(env, log):
+            def prober():
+                yield from _inline(env, 1.0)
+                for delay in (float("nan"), -1.0):
+                    log.append(
+                        (repr(delay), env.advance(delay), env.now,
+                         env._sequence, env.event_count)
+                    )
+                with pytest.raises(ValueError):
+                    yield env.timeout(-1.0)
+                # -0.0 is a valid zero delay: it runs ahead like 0.0.
+                yield from _inline(env, -0.0)
+                log.append(("after", env.now, env.event_count))
+
+            env.process(prober())
+            env.run()
+
+        assert _both_ways(monkeypatch, scenario) == [True, False, False, True]
+
+    def test_outside_a_run_is_refused(self):
+        env = Environment()
+        assert env.advance(1.0) is False
+        assert (env.now, env._sequence, env.event_count) == (0.0, 0, 0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_contention_corpus(self, monkeypatch, seed):
+        """Processes contending for a resource and a store with delays
+        drawn from a small set, so ties are common."""
+        import random
+
+        def scenario(env, log):
+            rng = random.Random(seed)
+            resource = Resource(env, capacity=2)
+            store = Store(env)
+
+            def worker(name):
+                for round_ in range(8):
+                    delay = rng.choice((0.0, 0.5, 1.0, 1.5))
+                    yield from _inline(env, delay)
+                    request = resource.request()
+                    yield request
+                    yield from _inline(env, rng.choice((0.25, 0.5)))
+                    resource.release(request)
+                    store.put((name, round_))
+                    log.append((name, round_, env.now, env.event_count))
+
+            def consumer():
+                for _ in range(4 * 8):
+                    item = yield store.get()
+                    yield from _inline(env, rng.choice((0.0, 0.125)))
+                    log.append(("got", item, env.now))
+
+            for name in "abcd":
+                env.process(worker(name))
+            env.process(consumer())
+            env.run(until=env.now + rng.choice((3.0, 4.5, 100.0)))
+            env.run()
+
+        answers = _both_ways(monkeypatch, scenario)
+        assert True in answers and False in answers
+
+
+def _point_corpus():
+    from repro.harness.sweep import SweepPoint
+
+    return [
+        SweepPoint(workload="bfs", system="UvmDiscard", ratio=2.0,
+                   scale=0.0625),
+        SweepPoint(workload="dl:vgg16", system="UvmDiscardLazy",
+                   batch_size=50, scale=0.03125, batches=2),
+        SweepPoint(
+            workload="fir", system="UvmDiscard", scale=0.0625,
+            chaos=(("seed", 3), ("transfer_fault_interval", 40),
+                   ("link_degrade_interval", 90)),
+        ),
+    ]
+
+
+class TestRunAheadPoints:
+    """Whole experiments give byte-identical results both ways."""
+
+    @pytest.mark.parametrize(
+        "point", _point_corpus(), ids=("bfs-2.0x", "vgg16-prefetch", "chaos")
+    )
+    def test_sweep_point(self, monkeypatch, point):
+        import json
+
+        from repro.harness.sweep import execute_point
+
+        def run():
+            return json.dumps(execute_point(point).to_dict(), sort_keys=True)
+
+        taken = sum(_with_and_without(monkeypatch, run))
+        if point.chaos:
+            # The injector and the validator are engine monitors.
+            assert taken == 0
+        else:
+            assert taken > 0
+
+    def test_multi_gpu_pipeline(self, monkeypatch):
+        import json
+
+        from conftest import tiny_gpu
+
+        from repro import AccessMode, BufferAccess, CudaRuntime, KernelSpec
+        from repro.harness.results import ExperimentResult
+        from repro.interconnect import nvlink_gen3
+        from repro.units import MIB
+
+        def run():
+            outcomes = []
+            for p2p in (False, True):
+                runtime = CudaRuntime(
+                    gpus=[tiny_gpu(16, "gpu0"), tiny_gpu(16, "gpu1")],
+                    p2p_link=nvlink_gen3() if p2p else None,
+                )
+                payload = runtime.malloc_managed(24 * MIB, "payload")
+                scratch = runtime.malloc_managed(8 * MIB, "scratch")
+
+                def program(cuda):
+                    for i in range(3):
+                        cuda.launch(
+                            KernelSpec(
+                                f"produce_{i}",
+                                [BufferAccess(scratch, AccessMode.WRITE),
+                                 BufferAccess(payload, AccessMode.WRITE)],
+                                flops=1e8,
+                            ),
+                            device="gpu0",
+                        )
+                        cuda.discard_async(scratch, mode="eager")
+                        cuda.launch(
+                            KernelSpec(
+                                f"consume_{i}",
+                                [BufferAccess(payload, AccessMode.READ)],
+                                flops=1e8,
+                            ),
+                            device="gpu1",
+                        )
+                        yield from cuda.synchronize()
+
+                runtime.run(program)
+                result = ExperimentResult.from_runtime(
+                    runtime, "UvmDiscard", f"p2p={p2p}"
+                )
+                outcomes.append(
+                    (json.dumps(result.to_dict(), sort_keys=True),
+                     runtime.env.now, runtime.env.event_count)
+                )
+            return outcomes
+
+        assert any(_with_and_without(monkeypatch, run))
+
+    def test_strict_chaos_suite(self, monkeypatch):
+        from repro.chaos import run_chaos_suite
+
+        def run():
+            report = run_chaos_suite(seed=7, workloads=["fir"], strict=True)
+            return [
+                (r.fault_free_digest, r.chaos_digest, r.chaos_repeat_digest,
+                 r.fault_free_seconds, r.chaos_seconds, r.violations,
+                 r.checks, sorted(r.counters.items()))
+                for r in report.results
+            ]
+
+        _with_and_without(monkeypatch, run)

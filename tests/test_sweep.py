@@ -330,9 +330,10 @@ class TestResultSerialization:
 def test_fig5_subgrid_speedup_and_cache_identity(tmp_path):
     """The ISSUE's acceptance sweep: >= 12 Fig. 5 DL points.
 
-    ``--jobs 4`` must beat ``--jobs 1`` on wall clock (loosely, and only
-    where a second core exists) and an immediate re-run must serve every
-    point from cache with identical values.
+    ``--jobs 4`` must give the same results as ``--jobs 1`` and beat it
+    on wall clock (loosely, and only where four cores are available to
+    this process: on fewer, host load decides the race) and an immediate
+    re-run must serve every point from cache with identical values.
     """
     points = [
         SweepPoint(workload="dl:vgg16", system=system, batch_size=batch)
@@ -345,12 +346,13 @@ def test_fig5_subgrid_speedup_and_cache_identity(tmp_path):
     serial = run_sweep(points, jobs=1)
     serial_seconds = time.monotonic() - started
 
-    if (os.cpu_count() or 1) >= 2:
-        started = time.monotonic()
-        parallel = run_sweep(points, jobs=4)
-        parallel_seconds = time.monotonic() - started
-        assert parallel.to_json() == serial.to_json()
-        # Loose: half the ideal 4x, and only demanded when cores exist.
+    started = time.monotonic()
+    parallel = run_sweep(points, jobs=4)
+    parallel_seconds = time.monotonic() - started
+    assert parallel.to_json() == serial.to_json()
+    if len(os.sched_getaffinity(0)) >= 4:
+        # Loose: well short of the ideal 4x, and only demanded when the
+        # four workers each get a core.
         assert parallel_seconds < serial_seconds * 0.9, (
             f"jobs=4 took {parallel_seconds:.2f}s vs "
             f"jobs=1 {serial_seconds:.2f}s"
